@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAddition, FitFailure, PoleError, SingularSample
-from .identities import RationalMap, _padd, _peval, _trim
+from .identities import RationalMap, _padd, _peval
 from .lattice import CMWitness, Lattice, ensure_reduced, invariants_qseries, shortest_vector
 from .wp import pole_distance, wp_eval, wp_prime_eval
 

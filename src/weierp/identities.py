@@ -93,10 +93,6 @@ class RationalMap:
             raise ValueError("denominator is identically zero")
         return cls(inv, ne, no, de, do)
 
-    def reduce(self) -> RationalMap:
-        """Reduction modulo the curve relation; a no-op on this representation."""
-        return self
-
     def __call__(self, x: complex, y: complex = 0j) -> complex:
         num = _peval(self.num_even, x) + y * _peval(self.num_odd, x)
         den = _peval(self.den_even, x) + y * _peval(self.den_odd, x)
@@ -309,7 +305,7 @@ def division_values(n: int, target: complex, inv: Invariants) -> np.ndarray:
 
     Roots of num(X) - target * den(X) for the multiplication-by-n map; the
     full fiber is returned and the caller picks the relevant root.  Roots come
-    from companion-matrix eigenvalues with one Newton polish pass.
+    from companion-matrix eigenvalues with two Newton polish passes.
     """
     if not 2 <= n <= 6:
         raise ValueError("n must be in [2, 6]")

@@ -20,6 +20,7 @@ from .errors import DegenerateLattice
 
 MAX_REDUCTION_STEPS = 10_000
 DEGENERACY_TOL = 1e-12
+REDUCTION_SLACK = 1e-15
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,12 @@ def reduce_generators(omega1: complex, omega2: complex) -> Lattice:
     """Return the same lattice with tau in the fundamental domain.
 
     Gauss-style loop: translate tau by integers, invert when |tau| < 1.  The
-    result satisfies |Re tau| <= 1/2 and |tau| >= 1, and both inputs have
-    integer coordinates in the returned basis.
+    loop tracks the integer matrix (a, b; c, d) of the current basis
+    (a*omega1 + b*omega2, c*omega1 + d*omega2) and recomputes that basis
+    exactly from the inputs at each step, rounded once, so the result is the
+    correctly rounded reduced basis of the input lattice however many steps
+    it took.  It satisfies |Re tau| <= 1/2 and |tau| >= 1 up to
+    REDUCTION_SLACK, and both inputs have integer coordinates in it.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if w1 == 0 or w2 == 0:
@@ -107,18 +112,27 @@ def reduce_generators(omega1: complex, omega2: complex) -> Lattice:
     ratio = w2 / w1
     if abs(ratio.imag) <= DEGENERACY_TOL * (1 + abs(ratio.real)):
         raise DegenerateLattice("generators nearly dependent over R")
-    if ratio.imag < 0:
-        w1, w2 = w2, w1
+    # every input part is an exact integer over one power-of-two denominator
+    fracs = [x.as_integer_ratio() for x in (w1.real, w1.imag, w2.real, w2.imag)]
+    den = max(d for _, d in fracs)
+    r1, i1, r2, i2 = (n * (den // d) for n, d in fracs)
+
+    def combine(m: int, n: int) -> complex:
+        return complex((m * r1 + n * r2) / den, (m * i1 + n * i2) / den)
+
+    a, b, c, d = (0, 1, 1, 0) if ratio.imag < 0 else (1, 0, 0, 1)
     for _ in range(MAX_REDUCTION_STEPS):
+        w1, w2 = combine(a, b), combine(c, d)
         tau = w2 / w1
-        shift = round(tau.real)
-        if shift != 0:
-            w2 = w2 - shift * w1
-            continue
-        if abs(tau) < 1 - 1e-15:
-            w1, w2 = w2, -w1
-            continue
-        return Lattice(w1, w2)
+        # the slack keeps a tau with Re tau = +-1/2 up to rounding from being
+        # translated back and forth between the two edges
+        if abs(tau.real) > 0.5 + REDUCTION_SLACK:
+            shift = round(tau.real)
+            c, d = c - shift * a, d - shift * b
+        elif abs(tau) < 1 - REDUCTION_SLACK:
+            a, b, c, d = c, d, -a, -b
+        else:
+            return Lattice(w1, w2)
     raise DegenerateLattice("basis reduction did not terminate")
 
 

@@ -1,22 +1,25 @@
-"""Evaluation of the Weierstrass function wp, its derivatives, and a direct
-summation oracle from the defining series
+"""Evaluation of the Weierstrass function wp and its first two derivatives,
+and a direct summation oracle from the defining series
 
     wp(z) = 1/z^2 + sum over nonzero lattice points w of (1/(z-w)^2 - 1/w^2).
 
-The fast path reduces the argument to the Voronoi cell of the origin, halves
-it into the convergence disc of the Laurent expansion about 0, sums the
-series, and undoes the halvings with the duplication law carrying the pair
-(wp, wp') jointly so no square-root branch is ever taken.
+The evaluator moves z into the cell |x|, |y| <= 1/2 of its lattice
+coordinates and sums the q-Fourier series of wp (DLMF 23.8; Johansson,
+arXiv:1806.06725), with wp' and wp'' from the same terms differentiated.  On
+a reduced basis |Q| = |exp(2 pi i tau)| <= exp(-pi sqrt(3)), so the series
+needs at most about twenty terms, no step cancels, and tall lattices are as
+accurate as square ones.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HalfPeriodSingularity, PoleError
+from .errors import PoleError
 from .lattice import (
     Invariants,
     Lattice,
@@ -24,19 +27,9 @@ from .lattice import (
     ensure_reduced,
     invariants_qseries,
     shell_scale,
-    shortest_vector,
 )
 
 POLE_REL_TOL = 1e-12
-SERIES_LENGTH = 40            # Laurent coefficients c_2..c_40
-# Halve until |z| < 0.55 * shortest vector.  The series tail is still ~0.3^40
-# there, and every extra halving costs a duplication step whose cancellation
-# noise limits end-to-end accuracy.  Nearest-point reduction keeps every
-# duplication argument >= 0.275 * lambda away from the zeros of wp': a point
-# of the Voronoi cell of 0 is closer to 0 than to any other lattice point, so
-# |z0/2^j - h| >= |z0|/2^j for every half-period h.
-REDUCTION_TARGET = 0.55
-WP_PRIME_FLOOR = 1e-12        # |wp'| below this aborts a duplication step
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,6 @@ class LaurentCoefficients:
         return -2.0 / (z2 * z) + acc * z
 
 
-_LAURENT_CACHE: dict[tuple[complex, complex, int], LaurentCoefficients] = {}
-
-
 def laurent_coefficients(inv: Invariants, count: int) -> LaurentCoefficients:
     """Coefficients c_2..c_count via c_2 = g2/20, c_3 = g3/28 and the recurrence
 
@@ -79,45 +69,27 @@ def laurent_coefficients(inv: Invariants, count: int) -> LaurentCoefficients:
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    key = (inv.g2, inv.g3, count)
-    cached = _LAURENT_CACHE.get(key)
-    if cached is not None:
-        return cached
     c: list[complex] = [inv.g2 / 20.0, inv.g3 / 28.0]
     for k in range(4, count + 1):
         s = 0j
         for m in range(2, k - 1):
             s += c[m - 2] * c[k - m - 2]
         c.append(3.0 * s / ((2 * k + 1) * (k - 3)))
-    out = LaurentCoefficients(inv, tuple(c))
-    _LAURENT_CACHE[key] = out
-    return out
+    return LaurentCoefficients(inv, tuple(c))
 
 
 # ---------------------------------------------------------------------------
-# Argument reduction
+# Pole distance
 # ---------------------------------------------------------------------------
-
-
-def _nearest_reduction(z: complex, lat: Lattice) -> tuple[complex, float]:
-    """(z - nearest lattice point, distance to it); basis assumed reduced."""
-    x, y = lat.coords(z)
-    m0, n0 = round(x), round(y)
-    best = None
-    best_d = math.inf
-    for dm in (-1, 0, 1):
-        for dn in (-1, 0, 1):
-            w = lat.point(m0 + dm, n0 + dn)
-            d = abs(z - w)
-            if d < best_d:
-                best_d = d
-                best = z - w
-    return best, best_d
 
 
 def pole_distance(z: complex, lat: Lattice) -> float:
     """Euclidean distance from z to the nearest lattice point."""
-    return _nearest_reduction(complex(z), ensure_reduced(lat))[1]
+    z = complex(z)
+    lat = ensure_reduced(lat)
+    x, y = lat.coords(z)
+    m, n = round(x), round(y)
+    return min(abs(z - lat.point(m + i, n + j)) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,123 +143,112 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# Laurent series + duplication evaluation
+# q-Fourier series evaluation
 # ---------------------------------------------------------------------------
 
 
 _EPS = 2.220446049250313e-16
+ROUNDOFF = 8.0      # c in the roundoff bound c * eps * sum |terms|
+MAX_TERMS = 64      # loop bound only: a reduced tau stops after at most ~20 terms
 
 
-def _series_pair_with_bounds(lc: LaurentCoefficients, w: complex):
-    """(wp, wp', du, dv) at w: values plus absolute roundoff/truncation bounds.
+def _csc2_cot(v: complex) -> tuple[complex, complex]:
+    """(1 / sin(v)^2, cot v), without overflow however large |Im v| is."""
+    if abs(v.imag) <= 1.0:
+        s = cmath.sin(v)
+        return 1.0 / (s * s), cmath.cos(v) / s
+    # s = +-v with Im s > 1: w = exp(2is) is small and 1 - w cannot cancel
+    sign = 1.0 if v.imag > 0 else -1.0
+    w = cmath.exp(2j * sign * v)
+    return -4.0 * w / (1.0 - w) ** 2, sign * 1j * (w + 1.0) / (w - 1.0)
 
-    The bounds run a second Horner pass over term magnitudes; truncation adds
-    the geometric tail of the last retained term.
+
+def _wp_triple(z: complex, lat: Lattice) -> tuple[EvalResult, EvalResult, EvalResult]:
+    """wp, wp' and wp'' at z, each with an absolute error bound, in one pass.
+
+    With z0 = z - w for the lattice point w nearest in coordinates, k = pi/omega1,
+    v = k z0, Q = exp(2 pi i tau), A = Q exp(2iv), B = Q exp(-2iv) and
+    d_n = n / (1 - Q^n):
+
+        wp   = k^2 [csc^2 v - 1/3 + 8 sum d_n (Q^n - (A^n + B^n) / 2)]
+        wp'  = k^3 [-2 csc^2 v cot v - 8i sum n d_n (A^n - B^n)]
+        wp'' = k^4 [csc^2 v (6 csc^2 v - 4) + 16 sum n^2 d_n (A^n + B^n)]
+
+    Since |x|, |y| <= 1/2, |A| and |B| are at most |Q|^(1/2) <= exp(-pi sqrt(3)/2),
+    so the powers never overflow and from the second term on each is below a
+    quarter of the one before: the omitted tail is below the last term kept.
+    The bound adds that tail, the roundoff of the sum (a term's relative error
+    grows like n times the size of its exponent through the powers) and the
+    rounding of z0 itself, which moves the argument by up to a few
+    eps * (|z| + |w|).
     """
-    u = lc.wp(w)
-    v = lc.wp_prime(w)
-    aw2 = abs(w) * abs(w)
-    mag_u = 0.0
-    mag_v = 0.0
-    for kk in range(len(lc.coeffs) - 1, -1, -1):
-        c = abs(lc.coeffs[kk])
-        mag_u = mag_u * aw2 + c
-        mag_v = mag_v * aw2 + (2 * (kk + 2) - 2) * c
-    mag_u = mag_u * aw2 + 1.0 / aw2
-    mag_v = mag_v * aw2 / abs(w) + 2.0 / (aw2 * abs(w))
-    # Horner roundoff grows far slower than the worst-case op count; a small
-    # constant times the term-magnitude sum tracks the observed noise
-    tail_ratio = aw2 * abs(lc.coeffs[-1] / lc.coeffs[-2]) if len(lc.coeffs) > 1 else 0.0
-    tail_ratio = min(tail_ratio, 0.9)
-    tail_u = abs(lc.coeffs[-1]) * abs(w) ** (2 * len(lc.coeffs) + 2) / (1.0 - tail_ratio)
-    du = 4.0 * _EPS * mag_u + tail_u
-    dv = 4.0 * _EPS * mag_v + tail_u * (2 * len(lc.coeffs) + 2) / abs(w)
-    return u, v, du, dv
-
-
-def _duplication_step(u, v, g2, du, dv):
-    """(wp, wp') at 2z from the pair at z, with propagated error bounds.
-
-    Uses wp(2z) = (wp'')^2 / (4 wp'^2) - 2 wp and its derivative, taking
-    wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp'.  The bound propagation is
-    first order with an extra roundoff term per expression; it tracks the
-    cancellation blow-up near arguments where wp'' or wp' get small, which is
-    what actually limits accuracy on tall lattices.
-    """
-    if abs(v) < WP_PRIME_FLOOR:
-        raise HalfPeriodSingularity("wp' vanished inside a duplication step")
-    w2 = 6.0 * u * u - g2 / 2.0
-    dw2 = 12.0 * abs(u) * du + 4.0 * _EPS * (6.0 * abs(u) ** 2 + abs(g2) / 2.0)
-    t = w2 / v
-    dt = (dw2 + abs(t) * dv) / abs(v) + _EPS * abs(t)
-    u2 = t * t / 4.0 - 2.0 * u
-    du2 = 0.5 * abs(t) * dt + 2.0 * du + 4.0 * _EPS * (0.25 * abs(t) ** 2 + 2.0 * abs(u))
-    p = 12.0 * u * v * v - w2 * w2
-    dp = (
-        12.0 * (abs(v) ** 2 * du + 2.0 * abs(u * v) * dv)
-        + 2.0 * abs(w2) * dw2
-        + 4.0 * _EPS * (12.0 * abs(u) * abs(v) ** 2 + abs(w2) ** 2)
-    )
-    q = w2 * p / (4.0 * v**3)
-    v2 = q - v
-    dq = (
-        abs(p / (4.0 * v**3)) * dw2
-        + abs(w2 / (4.0 * v**3)) * dp
-        + 3.0 * abs(q / v) * dv
-        + 4.0 * _EPS * abs(q)
-    )
-    dv2 = dq + dv
-    return u2, v2, du2, dv2
-
-
-def _wp_pair(z: complex, lat: Lattice) -> tuple[complex, complex, float, float]:
     z = complex(z)
     lat = ensure_reduced(lat)
-    lam = shortest_vector(lat)
-    z0, dist = _nearest_reduction(z, lat)
-    if dist <= POLE_REL_TOL * abs(lat.omega1):
+    x, y = lat.coords(z)
+    w = lat.point(round(x), round(y))
+    z0 = z - w
+    if abs(z0) <= POLE_REL_TOL * abs(lat.omega1):
         raise PoleError(f"z = {z!r} is within pole tolerance of the lattice")
-    inv = invariants_qseries(lat)
-    lc = laurent_coefficients(inv, SERIES_LENGTH)
+    k = math.pi / lat.omega1
+    v = k * z0
+    phase = 2j * math.pi * lat.tau
+    q, a, b = cmath.exp(phase), cmath.exp(phase + 2j * v), cmath.exp(phase - 2j * v)
+    u, t = _csc2_cot(v)
+    grow = 2.0 * (abs(phase) + abs(v))
+    rq, ra, rb = abs(q), abs(a), abs(b)
 
-    halvings = 0
-    while abs(z0) / (1 << halvings) >= REDUCTION_TARGET * lam:
-        halvings += 1
+    s0 = s1 = s2 = 0j
+    # m0, m1, m2: sums of |terms| of the three series, each series term
+    # weighted by 1 + n * grow for the error its power carries
+    au = abs(u)
+    m0, m1, m2 = au + 1.0 / 3.0, 2.0 * au * abs(t), au * (6.0 * au + 4.0)
+    qn = an = bn = 1.0 + 0j
+    mq = ma = mb = 1.0
+    for n in range(1, MAX_TERMS + 1):
+        qn *= q
+        an *= a
+        bn *= b
+        d = n / (1.0 - qn)
+        ab = an + bn
+        s0 += d * (qn - 0.5 * ab)
+        s1 += n * d * (an - bn)
+        s2 += n * n * d * ab
+        mq *= rq
+        ma *= ra
+        mb *= rb
+        md = n / (1.0 - mq)
+        t0, t1 = 8.0 * md * (mq + 0.5 * (ma + mb)), 8.0 * n * md * (ma + mb)
+        t2 = 2.0 * n * t1
+        weight = 1.0 + n * grow
+        m0 += weight * t0
+        m1 += weight * t1
+        m2 += weight * t2
+        if n > 1 and t0 <= _EPS * m0 and t1 <= _EPS * m1 and t2 <= _EPS * m2:
+            break
 
-    for extra in (0, 1):
-        k = halvings + extra
-        w = z0 / (1 << k)
-        u, v, du, dv = _series_pair_with_bounds(lc, w)
-        try:
-            for _ in range(k):
-                u, v, du, dv = _duplication_step(u, v, inv.g2, du, dv)
-        except HalfPeriodSingularity:
-            if extra == 0:
-                continue
-            raise
-        return u, v, du, dv
-    raise HalfPeriodSingularity("duplication failed at both halving depths")
+    k2 = k * k
+    wp = k2 * (u - 1.0 / 3.0 + 8.0 * s0)
+    wp1 = k2 * k * (-2.0 * u * t - 8j * s1)
+    wp2 = k2 * k2 * (u * (6.0 * u - 4.0) + 16.0 * s2)
+    reach = 4.0 * _EPS * (abs(z) + abs(w))
+    ak2 = abs(k2)
+    return (
+        EvalResult(wp, ak2 * (ROUNDOFF * _EPS * m0 + t0) + abs(wp1) * reach),
+        EvalResult(wp1, ak2 * abs(k) * (ROUNDOFF * _EPS * m1 + t1) + abs(wp2) * reach),
+        EvalResult(wp2, ak2 * ak2 * (ROUNDOFF * _EPS * m2 + t2) + 12.0 * abs(wp * wp1) * reach),
+    )
 
 
-def wp_eval(z: complex, lat: Lattice, tol: float = 1e-12) -> EvalResult:
-    """wp(z) by argument reduction, Laurent series, and duplication.
-
-    tol is the caller's accuracy target; evaluation always runs at full
-    precision, so the reported err_estimate is what actually matters.
-    """
-    u, _, du, _ = _wp_pair(z, lat)
-    return EvalResult(u, du)
+def wp_eval(z: complex, lat: Lattice) -> EvalResult:
+    """wp(z) from the q-Fourier series."""
+    return _wp_triple(z, lat)[0]
 
 
-def wp_prime_eval(z: complex, lat: Lattice, tol: float = 1e-12) -> EvalResult:
-    """wp'(z); the pair (wp, wp') is propagated through each doubling step."""
-    _, v, _, dv = _wp_pair(z, lat)
-    return EvalResult(v, dv)
+def wp_prime_eval(z: complex, lat: Lattice) -> EvalResult:
+    """wp'(z), the term-wise derivative of the same series."""
+    return _wp_triple(z, lat)[1]
 
 
-def wp_second_eval(z: complex, lat: Lattice, tol: float = 1e-12) -> EvalResult:
-    """wp''(z) = 6 wp(z)^2 - g2/2."""
-    u, _, du, _ = _wp_pair(z, lat)
-    g2 = invariants_qseries(ensure_reduced(lat)).g2
-    value = 6.0 * u * u - g2 / 2.0
-    return EvalResult(value, 12.0 * abs(u) * du + 4.0 * _EPS * (6.0 * abs(u) ** 2 + abs(g2) / 2.0))
+def wp_second_eval(z: complex, lat: Lattice) -> EvalResult:
+    """wp''(z), the second term-wise derivative of the same series."""
+    return _wp_triple(z, lat)[2]

@@ -297,12 +297,6 @@ def test_rational_map_fold_reduces_y_square(square):
     assert not np.any(rm.num_odd)
 
 
-def test_rational_map_reduce_is_noop(square):
-    inv = invariants_qseries(square)
-    rm = RationalMap.from_y_grid(inv, [[1.0, 2.0], [3.0]], [[1.0], [0.5]])
-    assert rm.reduce() is rm
-
-
 def test_rational_map_eval_with_y(square):
     inv = invariants_qseries(square)
     rm = RationalMap.from_y_grid(inv, [[0.0], [1.0]], [[1.0]])  # the map (x, y) -> y

@@ -11,7 +11,8 @@ block after a sentinel line.  Reports contain no timestamps and all sampling
 is seeded, so identical configurations produce byte-identical output.
 
 Exit codes: 0 success; 1 failed verification or map fit; 2 degenerate
-lattice; 3 evaluation at a pole; 4 no complex multiplication within bound.
+lattice; 3 evaluation at a pole; 4 no complex multiplication with leading
+coefficient within the bound.
 """
 
 from __future__ import annotations
@@ -308,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="reduce, classify, and search for CM")
     _add_lattice_args(p)
     p.add_argument("--radius", type=int, default=120, help="truncation radius for invariants")
-    p.add_argument("--coeff-bound", type=int, default=50, help="CM search bound")
+    p.add_argument("--coeff-bound", type=int, default=50,
+                   help="CM search: bound on the leading coefficient a")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("eval", help="evaluate wp, wp', wp'' at a point")
@@ -330,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, nargs=2, default=[0.125, 0.375],
                    metavar=("A", "B"), help="real sampling interval")
     p.add_argument("--grid", type=int, default=20, help="verification grid size per axis")
-    p.add_argument("--coeff-bound", type=int, default=50, help="CM search bound")
+    p.add_argument("--coeff-bound", type=int, default=50,
+                   help="CM search: bound on the leading coefficient a")
     p.add_argument("--tol-grid", type=float, default=1e-8, help="grid error threshold")
     p.set_defaults(func=cmd_disc)
     return ap

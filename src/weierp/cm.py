@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAddition, FitFailure, PoleError, SingularSample
-from .identities import RationalMap, _padd, _peval
+from .identities import DEGREE_CAP, RationalMap, _condition, _padd, _peval
 from .lattice import CMWitness, Lattice, ensure_reduced, invariants_qseries, shortest_vector
 from .wp import pole_distance, wp_eval, wp_prime_eval
 
@@ -192,11 +192,6 @@ def _prune_and_normalize(num: np.ndarray, den: np.ndarray, x_scale: float):
     return num / lead, den / lead
 
 
-def _horner_condition(p: np.ndarray, x: complex, value: complex) -> float:
-    terms = float(np.sum(np.abs(p) * np.abs(x) ** np.arange(len(p))))
-    return terms / max(abs(value), 1e-300)
-
-
 def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
     """Worst relative deviation of num/den from the targets on (xs, ws).
 
@@ -214,7 +209,7 @@ def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
         dv = _peval(den, x)
         if abs(dv) < DENOM_GUARD:
             continue
-        if max(_horner_condition(num, x, nv), _horner_condition(den, x, dv)) > cond_cap:
+        if max(_condition(num, x, nv), _condition(den, x, dv)) > cond_cap:
             continue
         worst = max(worst, abs(nv / dv - w) / (1.0 + abs(w)))
         kept += 1
@@ -253,13 +248,17 @@ def fit_multiplier_maps(
     sides.  If the bound is too small the held-out validation fails and the
     degrees are retried at 2N and 4N.  When alpha is not a multiplier at all,
     the translate clash keeps every residual at order one and FitFailure
-    carries the best residual seen.
+    carries the best residual seen.  A norm above DEGREE_CAP fails at once:
+    the fit's matrices grow like N^2, its time like N^3.
     """
     lat = ensure_reduced(lat)
     alpha = witness.alpha
     base_n = witness.norm if witness.norm and witness.norm > 0 else max(
         1, round(abs(alpha) ** 2)
     )
+    if base_n > DEGREE_CAP:
+        raise FitFailure(f"norm {base_n} of alpha={alpha!r} exceeds the degree cap {DEGREE_CAP}",
+                         math.inf)
     if samples is not None and samples < 4 * base_n + 4:
         raise ValueError(f"samples must be >= {4 * base_n + 4}")
     best_residual = math.inf
@@ -371,6 +370,8 @@ def verify_disc_extension(de: DiscExtension, grid_n: int, tol: float) -> DiscRep
                 continue
             exact = wp_eval(complex(x) + alpha * y, lat).value
             err = abs(approx - exact)
+            if math.isnan(err):  # a NaN would vanish in max() below
+                err = math.inf
             checked += 1
             worst = max(worst, err)
             if err > tol:

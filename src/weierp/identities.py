@@ -59,6 +59,12 @@ def _peval(p: np.ndarray, x: complex) -> complex:
     return acc
 
 
+def _condition(p: np.ndarray, x: complex, value: complex) -> float:
+    """Horner cancellation factor of p at x: sum of |term| over |value|."""
+    terms = float(np.sum(np.abs(p) * np.abs(x) ** np.arange(len(p))))
+    return terms / max(abs(value), 1e-300)
+
+
 def curve_polynomial(inv: Invariants) -> np.ndarray:
     """F(X) = 4X^3 - g2 X - g3."""
     return np.array([-inv.g3, -inv.g2, 0.0, 4.0], dtype=complex)
@@ -108,9 +114,7 @@ class RationalMap:
         """
         worst = 1.0
         for p in (self.num_even, self.den_even):
-            terms = float(np.sum(np.abs(p) * np.abs(x) ** np.arange(len(p))))
-            value = abs(_peval(p, x))
-            worst = max(worst, terms / max(value, 1e-300))
+            worst = max(worst, _condition(p, x, _peval(p, x)))
         return worst
 
     def is_x_only(self) -> bool:
@@ -185,12 +189,15 @@ def duplication(pz: complex, ppz: complex, ppz2: complex) -> complex:
     return 0.25 * (ppz2 / ppz) ** 2 - 2.0 * pz
 
 
+def _curve_residual(u: complex, v: complex, inv: Invariants) -> float:
+    """|v^2 - (4 u^3 - g2 u - g3)| / (1 + |u|^3): how far (u, v) is off the curve."""
+    return abs(v * v - (4.0 * u**3 - inv.g2 * u - inv.g3)) / (1.0 + abs(u) ** 3)
+
+
 def diffeq_residual(z: complex, lat: Lattice) -> float:
     """|wp'^2 - (4 wp^3 - g2 wp - g3)| / (1 + |wp|^3) at z."""
     inv = invariants_qseries(ensure_reduced(lat))
-    u = wp_eval(z, lat).value
-    v = wp_prime_eval(z, lat).value
-    return abs(v * v - (4.0 * u**3 - inv.g2 * u - inv.g3)) / (1.0 + abs(u) ** 3)
+    return _curve_residual(wp_eval(z, lat).value, wp_prime_eval(z, lat).value, inv)
 
 
 # ---------------------------------------------------------------------------

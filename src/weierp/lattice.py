@@ -10,6 +10,7 @@ tolerance.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -200,8 +201,6 @@ def classify_real(lat: Lattice, tol: float = 1e-9) -> LatticeClass:
 # Lattice point enumeration over a disc
 # ---------------------------------------------------------------------------
 
-_POINTS_CACHE: dict[tuple[complex, complex, int], np.ndarray] = {}
-
 
 def _edge_min(w1: complex, w2: complex) -> float:
     """Min of |x*w1 + y*w2| over the boundary of the unit coordinate box.
@@ -220,36 +219,31 @@ def _edge_min(w1: complex, w2: complex) -> float:
     return min(seg_min(w1, w2), seg_min(-w1, w2), seg_min(w2, w1), seg_min(-w2, w1))
 
 
-def shell_scale(lat: Lattice) -> float:
-    """Min |m*omega1 + n*omega2| over max(|m|, |n|) = 1; the disc cutoff unit."""
-    w1, w2 = lat.omega1, lat.omega2
-    return min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
-
-
 def disc_points(lat: Lattice, radius: int) -> np.ndarray:
-    """Nonzero lattice points with |omega| <= radius * shell_scale(lat).
+    """Nonzero lattice points with |omega| <= radius * shortest_vector(lat).
 
     A disc (rather than a coordinate box) keeps the truncation set invariant
     under every rotational symmetry of the lattice, so symmetry-forced
     cancellations in lattice sums survive truncation exactly.  The cutoff gets
     a 1e-9 relative slack so that a full rotation orbit sitting exactly on the
-    boundary is included atomically despite floating-point jitter.
+    boundary is included atomically despite floating-point jitter.  The last
+    few discs are cached, so the returned array must not be modified.
     """
-    key = (lat.omega1, lat.omega2, radius)
-    pts = _POINTS_CACHE.get(key)
-    if pts is not None:
-        return pts
+    # a plain function, so that profilers that wrap module functions see it
+    return _disc_points(lat, radius)
+
+
+@functools.lru_cache(maxsize=4)
+def _disc_points(lat: Lattice, radius: int) -> np.ndarray:
     w1, w2 = lat.omega1, lat.omega2
-    cut_r = radius * shell_scale(lat)
+    cut_r = radius * shortest_vector(lat)
     box = int(math.ceil(cut_r / _edge_min(w1, w2))) + 2
     side = np.arange(-box, box + 1)
     m, n = np.meshgrid(side, side, indexing="ij")
     pts = (m * w1 + n * w2).ravel()
     norm2 = pts.real**2 + pts.imag**2
     mask = (norm2 > 1e-24 * abs(w1) ** 2) & (norm2 <= cut_r**2 * (1 + 1e-9))
-    pts = pts[mask]
-    _POINTS_CACHE[key] = pts
-    return pts
+    return pts[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +256,20 @@ def eisenstein_invariants(lat: Lattice, radius: int) -> tuple[Invariants, float]
 
     Returns (Invariants, tail_estimate).  The estimate bounds the truncation
     error of g2 (the slower sum): counting shells of at most 8k points at
-    distance >= k * shell_scale gives tail <= 240 * s^-4 / radius^2, padded by
-    a safety factor for the boundary shell.
+    distance >= k * shortest_vector gives tail <= 240 * s^-4 / radius^2,
+    padded by a safety factor for the boundary shell.
     """
     if radius < 10:
         raise ValueError("radius must be >= 10")
     pts = disc_points(lat, radius)
     g2 = 60.0 * np.sum(pts**-4.0)
     g3 = 140.0 * np.sum(pts**-6.0)
-    s = shell_scale(lat)
+    s = shortest_vector(lat)
     tail = 4.0 * 240.0 / (s**4 * radius**2)
     return Invariants(complex(g2), complex(g3)), tail
 
 
-def _divisor_power_sums(kmax: int, nmax: int) -> dict[int, list[int]]:
+def _divisor_power_sums(nmax: int) -> dict[int, list[int]]:
     sums: dict[int, list[int]] = {k: [0] * (nmax + 1) for k in (3, 5)}
     for d in range(1, nmax + 1):
         for mult in range(d, nmax + 1, d):
@@ -284,7 +278,7 @@ def _divisor_power_sums(kmax: int, nmax: int) -> dict[int, list[int]]:
     return sums
 
 
-_SIGMA = _divisor_power_sums(5, 24)
+_SIGMA = _divisor_power_sums(24)
 
 
 def invariants_qseries(lat: Lattice) -> Invariants:
@@ -317,39 +311,28 @@ def invariants_qseries(lat: Lattice) -> Invariants:
 
 
 def detect_cm(lat: Lattice, coeff_bound: int = 50, tol: float = 1e-9) -> CMWitness | None:
-    """Search for an integer quadratic a*tau^2 + b*tau + c = 0 with small coefficients.
+    """Integer a*tau^2 + b*tau + c = 0 with the least leading a <= coeff_bound.
 
-    On a hit, alpha = a*tau multiplies the lattice into itself:
-    alpha*omega1 = a*omega2 and alpha*omega2 = -c*omega1 - b*omega2.  The
-    residual test is relative (|a tau^2 + b tau + c| against |a||tau|^2 +
-    |b||tau| + |c|) so the threshold is scale-free.  Returns None when no
-    primitive triple within the bound passes; that only rules out CM within
-    the bound, not CM outright.
+    For a reduced tau, b = -2a Re tau and c = a |tau|^2, so each a fixes b and
+    c by rounding.  The residual test is relative (against |a||tau|^2 +
+    |b||tau| + |c|), so scale-free, and the first hit is primitive: a common
+    factor g would have matched at a/g.  alpha = a*tau then multiplies the
+    lattice into itself: alpha*omega1 = a*omega2, alpha*omega2 = -c*omega1 -
+    b*omega2.  None rules out CM only for leading coefficients within the bound.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be positive")
     lat = ensure_reduced(lat)
     tau = lat.tau
     tau2 = tau * tau
-    bc = np.arange(-coeff_bound, coeff_bound + 1)
-    b_grid, c_grid = np.meshgrid(bc, bc, indexing="ij")
     for a in range(1, coeff_bound + 1):
-        resid = np.abs(a * tau2 + b_grid * tau + c_grid)
-        scale = a * abs(tau2) + np.abs(b_grid) * abs(tau) + np.abs(c_grid)
-        hits = np.argwhere(resid < tol * scale)
-        for bi, ci in hits:
-            b = int(bc[bi])
-            c = int(bc[ci])
-            if math.gcd(math.gcd(a, abs(b)), abs(c)) != 1:
-                continue
-            if b * b - 4 * a * c >= 0:
-                continue
+        b = round(-2 * a * tau.real)
+        c = round(a * abs(tau) ** 2)
+        scale = a * abs(tau2) + abs(b) * abs(tau) + abs(c)
+        if abs(a * tau2 + b * tau + c) < tol * scale:
             alpha = a * tau
-            if abs(alpha - round(alpha.real)) <= tol:
-                continue
-            witness = CMWitness(alpha=alpha, min_poly=(a, b, c), norm=a * c)
             if _verify_containment(lat, alpha, tol):
-                return witness
+                return CMWitness(alpha=alpha, min_poly=(a, b, c), norm=a * c)
     return None
 
 

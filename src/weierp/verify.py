@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import addition_formula, duplication, multiplication_by_n
+from .identities import _curve_residual, addition_formula, duplication, multiplication_by_n
 from .interval_maps import (
     ChainRuleInstance,
     IntervalBijection,
@@ -59,9 +59,10 @@ def sample_cell_points(
     rng: np.random.Generator,
     count: int,
     margin: float = 0.1,
-    avoid_half_periods: bool = False,
+    multiples: tuple[int, ...] = (),
 ) -> list[complex]:
-    """Random points of the fundamental cell at distance > margin*lambda from poles."""
+    """Random points z of the fundamental cell with z, and k*z for each k in
+    multiples, at distance > margin*lambda from the poles."""
     lam = shortest_vector(lat)
     out: list[complex] = []
     while len(out) < count:
@@ -69,17 +70,10 @@ def sample_cell_points(
         z = u * lat.omega1 + v * lat.omega2
         if pole_distance(z, lat) <= margin * lam:
             continue
-        if avoid_half_periods and pole_distance(2 * z, lat) <= margin * lam:
+        if any(pole_distance(k * z, lat) <= margin * lam for k in multiples):
             continue
         out.append(z)
     return out
-
-
-def _wp_triplet(z: complex, lat: Lattice, inv: Invariants):
-    u = wp_eval(z, lat).value
-    v = wp_prime_eval(z, lat).value
-    w2 = 6.0 * u * u - inv.g2 / 2.0
-    return u, v, w2
 
 
 def suite_differential_identity(
@@ -87,9 +81,7 @@ def suite_differential_identity(
 ) -> SuiteResult:
     worst = 0.0
     for z in sample_cell_points(lat, rng, count, margin=0.05):
-        u = wp_eval(z, lat).value
-        v = wp_prime_eval(z, lat).value
-        res = abs(v * v - (4.0 * u**3 - inv.g2 * u - inv.g3)) / (1.0 + abs(u) ** 3)
+        res = _curve_residual(wp_eval(z, lat).value, wp_prime_eval(z, lat).value, inv)
         worst = max(worst, res)
     return SuiteResult("differential_identity", worst, 1e-9, count)
 
@@ -147,7 +139,7 @@ def suite_duplication_law(
     tried = 0
     while checked < count and tried < 100 * count:
         tried += 1
-        (z,) = sample_cell_points(lat, rng, 1, margin=0.1, avoid_half_periods=True)
+        (z,) = sample_cell_points(lat, rng, 1, margin=0.1, multiples=(2,))
         if pole_distance(2 * z, lat) <= 0.05 * lam:
             continue
         ru = wp_eval(z, lat)
@@ -182,7 +174,7 @@ def suite_second_derivative(
         ru = wp_eval(z, lat)
         if 4.0 * ru.err_estimate / (h * h) > 2e-5:
             continue
-        _, _, w2 = _wp_triplet(z, lat, inv)
+        w2 = 6.0 * ru.value * ru.value - inv.g2 / 2.0
         fd = (
             wp_eval(z + h, lat).value - 2.0 * ru.value + wp_eval(z - h, lat).value
         ) / (h * h)

@@ -14,6 +14,7 @@ accurate as square ones.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +27,12 @@ from .lattice import (
     disc_points,
     ensure_reduced,
     invariants_qseries,
-    shell_scale,
+    shortest_vector,
 )
 
 POLE_REL_TOL = 1e-12
+_EPS = 2.220446049250313e-16
+ROUNDOFF = 8.0      # c in the roundoff bound c * eps * sum |terms|
 
 
 @dataclass(frozen=True)
@@ -96,23 +99,23 @@ def pole_distance(z: complex, lat: Lattice) -> float:
 # Direct summation oracle
 # ---------------------------------------------------------------------------
 
-_TAIL_CACHE: dict[tuple[complex, complex, int], tuple[complex, complex, np.ndarray, float]] = {}
 
-
+@functools.lru_cache(maxsize=4)
 def _oracle_setup(lat: Lattice, radius: int):
-    """Per-(lattice, radius) data: exterior sums S4, S6, point cloud, cutoff."""
-    key = (lat.omega1, lat.omega2, radius)
-    cached = _TAIL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Per-(lattice, radius) data: S4, S6, the disc points w and 1/w^2, the
+    roundoff weights sum |w|^-2, M4 = |g2|/60 + sum |w|^-4 and
+    M6 = |g3|/140 + sum |w|^-6, and the cutoff."""
     pts = disc_points(lat, radius)
+    inv_sq = 1.0 / pts**2
     inv = invariants_qseries(lat)
     s4 = inv.g2 / 60.0 - np.sum(pts**-4.0)
     s6 = inv.g3 / 140.0 - np.sum(pts**-6.0)
-    cut = radius * shell_scale(lat)
-    out = (complex(s4), complex(s6), pts, cut)
-    _TAIL_CACHE[key] = out
-    return out
+    r2 = np.abs(inv_sq)
+    m2 = float(np.sum(r2))
+    m4 = abs(inv.g2) / 60.0 + float(np.sum(r2**2))
+    m6 = abs(inv.g3) / 140.0 + float(np.sum(r2**3))
+    cut = radius * shortest_vector(lat)
+    return complex(s4), complex(s6), pts, inv_sq, m2, m4, m6, cut
 
 
 def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
@@ -126,6 +129,9 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
     with S_m the exterior lattice sums, which are known exactly from the
     invariants minus the interior partial sums.  Adding the two leading terms
     leaves a remainder far below every tolerance used against this oracle.
+    The bound then adds that remainder to 8 eps times the magnitudes that
+    were summed: |1/(z-w)^2| and |1/w^2| over the disc, and 3|z|^2 M4 +
+    5|z|^4 M6 for the two correction terms.
     """
     if radius < 10:
         raise ValueError("radius must be >= 10")
@@ -133,12 +139,16 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
     lat = ensure_reduced(lat)
     if pole_distance(z, lat) <= POLE_REL_TOL * abs(lat.omega1):
         raise PoleError(f"z = {z!r} is a lattice point")
-    s4, s6, pts, cut = _oracle_setup(lat, radius)
-    total = 1.0 / (z * z) + np.sum(1.0 / (z - pts) ** 2 - 1.0 / pts**2)
+    s4, s6, pts, inv_sq, m2, m4, m6, cut = _oracle_setup(lat, radius)
+    terms = 1.0 / (z - pts) ** 2
+    total = 1.0 / (z * z) + np.sum(terms - inv_sq)
     err = 2.0 * math.pi * abs(z) / cut  # bare-series tail bound, O(1/radius)
     if abs(z) < 0.25 * cut:
         total += 3.0 * z**2 * s4 + 5.0 * z**4 * s6
-        err = 8.0 * (7.0 * abs(z) ** 6 / cut**6 + 1e-14 * abs(total))
+        az2 = abs(z) ** 2
+        summed = 1.0 / az2 + float(np.sum(np.abs(terms))) + m2
+        summed += 3.0 * az2 * m4 + 5.0 * az2**2 * m6
+        err = 8.0 * 7.0 * abs(z) ** 6 / cut**6 + ROUNDOFF * _EPS * summed
     return EvalResult(complex(total), err)
 
 
@@ -147,8 +157,6 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-_EPS = 2.220446049250313e-16
-ROUNDOFF = 8.0      # c in the roundoff bound c * eps * sum |terms|
 MAX_TERMS = 64      # loop bound only: a reduced tau stops after at most ~20 terms
 
 

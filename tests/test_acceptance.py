@@ -38,10 +38,8 @@ from weierp.lattice import (
     reduce_generators,
     shortest_vector,
 )
-from weierp.verify import fd_chain_instance
+from weierp.verify import fd_chain_instance, sample_cell_points
 from weierp.wp import pole_distance, wp_direct_sum, wp_eval, wp_prime_eval, wp_second_eval
-
-from conftest import cell_points
 
 
 class criterion:
@@ -88,7 +86,7 @@ def test_criterion_02_addition_formula(reference_lattices):
             lam = shortest_vector(lat)
             checked = 0
             while checked < 100:
-                z, w = cell_points(lat, rng, 2, margin=0.05)
+                z, w = sample_cell_points(lat, rng, 2, margin=0.05)
                 if pole_distance(z + w, lat) <= 0.05 * lam:
                     continue
                 pz = wp_eval(z, lat).value
@@ -125,7 +123,7 @@ def test_criterion_03_duplication_diffeq_second(reference_lattices):
             inv = invariants_qseries(lat)
             checked = 0
             while checked < 100:
-                (z,) = cell_points(lat, rng, 1, margin=0.1, multiples=(2,))
+                (z,) = sample_cell_points(lat, rng, 1, margin=0.1, multiples=(2,))
                 got = duplication(
                     wp_eval(z, lat).value,
                     wp_prime_eval(z, lat).value,
@@ -133,13 +131,13 @@ def test_criterion_03_duplication_diffeq_second(reference_lattices):
                 )
                 assert abs(got - wp_eval(2 * z, lat).value) < 1e-8
                 checked += 1
-            for z in cell_points(lat, rng, 100, margin=0.05):
+            for z in sample_cell_points(lat, rng, 100, margin=0.05):
                 u = wp_eval(z, lat).value
                 v = wp_prime_eval(z, lat).value
                 res = abs(v * v - (4 * u**3 - inv.g2 * u - inv.g3)) / (1 + abs(u) ** 3)
                 assert res < 1e-9
             h = 1e-4
-            for z in cell_points(lat, rng, 20, margin=0.45):
+            for z in sample_cell_points(lat, rng, 20, margin=0.45):
                 fd = (
                     wp_eval(z + h, lat).value
                     - 2 * wp_eval(z, lat).value
@@ -151,7 +149,7 @@ def test_criterion_03_duplication_diffeq_second(reference_lattices):
 def test_criterion_04_square_symmetry_and_degenerate_invariants(square, hexagonal):
     with criterion(4, "wp(iz) = -wp(z); g3(square), g2(hex) vanish"):
         rng = np.random.default_rng(104)
-        for z in cell_points(square, rng, 100, margin=0.05):
+        for z in sample_cell_points(square, rng, 100, margin=0.05):
             a = wp_eval(1j * z, square).value
             b = wp_eval(z, square).value
             assert abs(a + b) < 1e-9
@@ -172,7 +170,7 @@ def test_criterion_05_multiplication_and_division(reference_lattices, square):
                 tried = 0
                 while kept < 50 and tried < 1000:
                     tried += 1
-                    (z,) = cell_points(lat, rng, 1, margin=0.1, multiples=(n,))
+                    (z,) = sample_cell_points(lat, rng, 1, margin=0.1, multiples=(n,))
                     x = wp_eval(z, lat).value
                     if mp.condition(x) > 1e7:
                         continue
@@ -180,14 +178,14 @@ def test_criterion_05_multiplication_and_division(reference_lattices, square):
                     kept += 1
                 assert kept >= 50, f"only {kept} conditioned points for n={n}"
         inv = invariants_qseries(square)
-        for z in cell_points(square, rng, 20, margin=0.15, multiples=(2,)):
+        for z in sample_cell_points(square, rng, 20, margin=0.15, multiples=(2,)):
             target = wp_eval(2 * z, square).value
             roots = division_values(2, target, inv)
             want = wp_eval(z, square).value
             assert min(abs(r - want) for r in roots) < 1e-7
         m2 = multiplication_by_n(2, inv)
         dup = duplication_rational_map(inv)
-        for z in cell_points(square, rng, 50, margin=0.1, multiples=(2,)):
+        for z in sample_cell_points(square, rng, 50, margin=0.1, multiples=(2,)):
             x = wp_eval(z, square).value
             assert abs(m2(x) - dup(x)) < 1e-9 * (1 + abs(dup(x)))
 

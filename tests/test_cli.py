@@ -156,6 +156,15 @@ def test_disc_hexagonal(capsys):
     assert m["max_abs_error"] < 1e-8
 
 
+def test_disc_tall_cm_lattice(capsys):
+    # tau = 8i: its form (1, 0, 64) has c beyond the bound on a
+    code, out = run_cli(capsys, "disc", "--tau", "8i")
+    assert code == 0
+    m = machine_block(out)
+    assert m["cm"]["min_poly"] == [1, 0, 64]
+    assert m["max_abs_error"] < 1e-8
+
+
 def test_disc_no_cm_exit_4(capsys):
     code, out = run_cli(capsys, "disc", "--tau", "0.31+1.27i")
     assert code == 4

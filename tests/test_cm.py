@@ -15,9 +15,8 @@ from weierp.cm import (
 from weierp.errors import DegenerateAddition, FitFailure
 from weierp.identities import multiplication_by_n
 from weierp.lattice import CMWitness, detect_cm, invariants_qseries, reduce_generators
+from weierp.verify import sample_cell_points
 from weierp.wp import wp_eval, wp_prime_eval
-
-from conftest import cell_points
 
 INTERVAL = (0.125, 0.375)
 
@@ -76,7 +75,7 @@ def test_norm_three_multiplier_pipeline():
 def test_integer_multiplier_matches_multiplication_map(square, rng):
     pair = fit_multiplier_maps(square, CMWitness(2.0 + 0j, None, 4), tol=1e-6)
     m2 = multiplication_by_n(2, invariants_qseries(square))
-    for z in cell_points(square, rng, 10, margin=0.15, multiples=(2,)):
+    for z in sample_cell_points(square, rng, 10, margin=0.15, multiples=(2,)):
         x = wp_eval(z, square).value
         assert abs(pair.wp_map(x) - m2(x)) < 1e-6 * (1 + abs(m2(x)))
 
@@ -97,7 +96,7 @@ def test_norm_nine_integer_multiplier(square):
 
 def test_fit_generalizes_to_fresh_points(square, square_pair, rng):
     tol = 1e-9
-    for z in cell_points(square, rng, 40, margin=0.12, multiples=(2,)):
+    for z in sample_cell_points(square, rng, 40, margin=0.12, multiples=(2,)):
         x = wp_eval(z, square).value
         w = wp_eval(1j * z, square).value
         assert abs(square_pair.wp_map(x) - w) < 10 * tol * (1 + abs(w))
@@ -119,6 +118,16 @@ def test_non_cm_lattice_fit_fails():
         with pytest.raises(FitFailure) as exc_info:
             fit_multiplier_maps(lat, witness)
         assert exc_info.value.residual > 1e-3
+
+
+def test_fit_refuses_norm_above_degree_cap():
+    # tau = 13i has CM with norm 169; a fit at that degree would need
+    # matrices of thousands of rows and maps beyond binary64
+    lat = reduce_generators(1.0, 13j)
+    witness = detect_cm(lat)
+    assert witness.norm == 169
+    with pytest.raises(FitFailure):
+        fit_multiplier_maps(lat, witness)
 
 
 def test_samples_argument_validated(square):
@@ -190,6 +199,18 @@ def test_verify_disc_hexagonal(hexagonal, hex_pair):
     report = verify_disc_extension(de, 20, 1e-8)
     assert report.max_abs_error < 1e-8
     assert not report.failures
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_verify_disc_counts_nan_as_failure(square, square_pair):
+    from weierp.identities import RationalMap
+
+    nan_map = RationalMap.from_x_rational(square_pair.wp_map.invariants,
+                                          np.array([math.nan]), np.array([1.0]))
+    pair = CMRationalPair(square_pair.alpha, nan_map, square_pair.wp_prime_factor, 1)
+    report = verify_disc_extension(DiscExtension(square, pair, INTERVAL), 4, 1e-8)
+    assert report.max_abs_error == math.inf
+    assert len(report.failures) == report.points_checked == 16
 
 
 def test_grid_nesting_determinism(square, square_pair):

@@ -18,9 +18,8 @@ from weierp.identities import (
     multiplication_by_n,
 )
 from weierp.lattice import invariants_qseries, shortest_vector
+from weierp.verify import sample_cell_points
 from weierp.wp import wp_eval, wp_prime_eval, wp_second_eval
-
-from conftest import cell_points
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -98,7 +97,7 @@ def test_duplication_half_period_raises():
 
 def test_diffeq_residual_random_points(reference_lattices, rng):
     for lat in reference_lattices:
-        for z in cell_points(lat, rng, 34, margin=0.05):
+        for z in sample_cell_points(lat, rng, 34, margin=0.05):
             assert diffeq_residual(z, lat) < 1e-9
 
 
@@ -129,7 +128,7 @@ def test_mult2_equals_duplication_form_on_curve(square, rng):
     inv = invariants_qseries(square)
     m2 = multiplication_by_n(2, inv)
     dup = duplication_rational_map(inv)
-    pts = cell_points(square, rng, 50, margin=0.1, multiples=(2,))
+    pts = sample_cell_points(square, rng, 50, margin=0.1, multiples=(2,))
     for z in pts:
         x = wp_eval(z, square).value
         assert abs(m2(x) - dup(x)) < 1e-9 * (1 + abs(dup(x)))
@@ -138,7 +137,7 @@ def test_mult2_equals_duplication_form_on_curve(square, rng):
 def test_mult3_matches_direct_eval(square, rng):
     inv = invariants_qseries(square)
     m3 = multiplication_by_n(3, inv)
-    pts = cell_points(square, rng, 50, margin=0.1, multiples=(3,))
+    pts = sample_cell_points(square, rng, 50, margin=0.1, multiples=(3,))
     for z in pts:
         x = wp_eval(z, square).value
         assert abs(m3(x) - wp_eval(3 * z, square).value) < 1e-8
@@ -148,7 +147,7 @@ def test_mult4_equals_mult2_composed(square, rng):
     inv = invariants_qseries(square)
     m2 = multiplication_by_n(2, inv)
     m4 = multiplication_by_n(4, inv)
-    pts = cell_points(square, rng, 15, margin=0.12, multiples=(2, 4))
+    pts = sample_cell_points(square, rng, 15, margin=0.12, multiples=(2, 4))
     for z in pts:
         x = wp_eval(z, square).value
         assert abs(m4(x) - m2(m2(x))) < 1e-7 * (1 + abs(m4(x)))
@@ -166,7 +165,7 @@ def test_mult_maps_on_curve_three_lattices(reference_lattices, rng):
             tried = 0
             while kept < 50 and tried < 600:
                 tried += 1
-                (z,) = cell_points(lat, rng, 1, margin=0.1, multiples=(n,))
+                (z,) = sample_cell_points(lat, rng, 1, margin=0.1, multiples=(n,))
                 x = wp_eval(z, lat).value
                 if mp.condition(x) > 1e7:
                     continue
@@ -229,7 +228,7 @@ def test_division_values_even_in_z(square):
 def test_division_multiplication_roundtrip(square, rng):
     inv = invariants_qseries(square)
     m2 = multiplication_by_n(2, inv)
-    (z,) = cell_points(square, rng, 1, margin=0.2, multiples=(2,))
+    (z,) = sample_cell_points(square, rng, 1, margin=0.2, multiples=(2,))
     target = wp_eval(2 * z, square).value
     for r in division_values(2, target, inv):
         assert abs(m2(r) - target) < 1e-6 * (1 + abs(target))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,9 +16,10 @@ from weierp.lattice import (
     invariants_qseries,
     is_closed_under_conjugation,
     reduce_generators,
-    shell_scale,
     shortest_vector,
 )
+
+from conftest import random_unimodular
 
 
 def coords_residual(lat, z):
@@ -160,9 +162,9 @@ def test_hexagonal_g2_vanishes(hexagonal):
 
 def independent_disc_sum(lat, radius, power):
     """Shell-by-shell direct summation with fsum accumulation."""
-    cut2 = (radius * shell_scale(lat)) ** 2 * (1 + 1e-9)
+    cut2 = (radius * shortest_vector(lat)) ** 2 * (1 + 1e-9)
     re_parts, im_parts = [], []
-    box = int(math.ceil(radius * shell_scale(lat) / (0.5 * shortest_vector(lat)))) + 2
+    box = 2 * radius + 2  # a shell k holds points of length >= k * shortest_vector / 2
     for k in range(1, box + 1):
         ms, ns = [], []
         for m in range(-k, k + 1):
@@ -276,6 +278,38 @@ def test_detect_cm_nonreal_none():
                 scale = a * abs(tau) ** 2 + abs(b) * abs(tau) + abs(c)
                 best = min(best, abs(a * tau * tau + b * tau + c) / scale)
     assert best > 1e-6
+
+
+def test_detect_cm_recovers_disguised_forms():
+    # seeded primitive reduced forms with a <= 50 and c up to 400, each in a
+    # scaled, rotated, unimodularly changed basis; b and c follow from a, so
+    # the bound on a is the only one.  Reduction may land on the mirror tau
+    # of an edge form, hence +-b.
+    rng = np.random.default_rng(5)
+    forms = [(1, 0, 64), (1, 0, 144)]
+    while len(forms) < 60:
+        a = int(rng.integers(1, 51))
+        c = int(rng.integers(a, 401))
+        b = int(rng.integers(-a + 1, a + 1))
+        if math.gcd(math.gcd(a, abs(b)), c) == 1:
+            forms.append((a, b, c))
+    for a, b, c in forms:
+        tau = complex(-b / (2 * a), math.sqrt(4 * a * c - b * b) / (2 * a))
+        rot = 10.0 ** rng.uniform(-2, 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        p, q, r, s = random_unimodular(rng)
+        lat = reduce_generators(rot * (r * tau + s), rot * (p * tau + q))
+        w = detect_cm(lat)
+        assert w is not None and w.min_poly in ((a, b, c), (a, -b, c)), (a, b, c, w)
+        assert w.norm == a * c
+        assert abs(w.alpha - a * lat.tau) <= 1e-12 * abs(w.alpha)
+
+
+def test_detect_cm_none_on_random_tau():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        x = rng.uniform(-0.5, 0.5)
+        lat = reduce_generators(1.0, complex(x, rng.uniform(math.sqrt(1 - x * x), 6.0)))
+        assert detect_cm(lat) is None, lat.tau
 
 
 def test_cm_containment_residual(reference_lattices):

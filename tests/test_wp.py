@@ -3,8 +3,10 @@ import math
 import pytest
 
 from weierp.errors import PoleError
-from weierp.lattice import invariants_qseries, shortest_vector
+from weierp.lattice import _disc_points, invariants_qseries, reduce_generators, shortest_vector
+from weierp.verify import sample_cell_points
 from weierp.wp import (
+    _oracle_setup,
     laurent_coefficients,
     pole_distance,
     wp_direct_sum,
@@ -13,7 +15,7 @@ from weierp.wp import (
     wp_second_eval,
 )
 
-from conftest import cell_points
+from conftest import ThetaReference
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,36 @@ def test_direct_sum_even(square, rng):
 def test_direct_sum_pole_raises(square):
     with pytest.raises(PoleError):
         wp_direct_sum(1.0 + 0j, square, 100)
+
+
+# (omega1, omega2, z) where a roundoff term of 8e-14 |value| fell below the
+# true error: the summed magnitudes are a hundred times |value| and more
+DIRECT_SUM_CASES = [
+    (-0.06335343991951889 + 0.0533509846168259j, 0.185837754972978 - 0.1744110155108688j,
+     -0.03179719937422768 + 0.021762145091157117j),
+    (0.004515620865983195 + 0.011568791862965444j, -0.026505258033882026 + 0.05527480283684043j,
+     0.033822006631828154 - 0.0238427485321102j),
+    (0.1211259535666547 - 0.2081849522950672j, -0.03665606508658412 + 0.06791244670226639j,
+     -0.018055888210200384 - 0.03269570875497914j),
+    (-0.04032297531418758 + 0.0338486660449743j, -0.009173618445991174 - 0.014706480033970461j,
+     -0.02943408431012138 + 0.037317594651340005j),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DIRECT_SUM_CASES)))
+def test_direct_sum_err_estimate_bounds_true_error(case):
+    w1, w2, z = DIRECT_SUM_CASES[case]
+    want, _ = ThetaReference(w1, w2)(z)
+    got = wp_direct_sum(z, reduce_generators(w1, w2), 200)
+    assert abs(got.value - want) <= got.err_estimate
+
+
+def test_direct_sum_caches_stay_bounded():
+    for k in range(20):
+        wp_direct_sum(0.3 + 0.1j, reduce_generators(1.0, complex(0.01 * k, 1.1 + 0.1 * k)), 20)
+    for cached in (_oracle_setup, _disc_points):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +131,7 @@ def test_quarter_turn_antisymmetry(square):
 
 def test_double_periodicity(square, hexagonal, rng):
     for lat in (square, hexagonal):
-        (z,) = cell_points(lat, rng, 1, margin=0.15)
+        (z,) = sample_cell_points(lat, rng, 1, margin=0.15)
         base = wp_eval(z, lat).value
         for m in range(-3, 4):
             for n in range(-3, 4):
@@ -114,13 +146,13 @@ def test_wp_matches_direct_sum_point(square):
 
 def test_wp_oracle_agreement(reference_lattices, rng):
     for lat in reference_lattices:
-        for z in cell_points(lat, rng, 25, margin=0.05):
+        for z in sample_cell_points(lat, rng, 25, margin=0.05):
             diff = abs(wp_eval(z, lat).value - wp_direct_sum(z, lat, 300).value)
             assert diff < 1e-8
 
 
 def test_wp_prime_odd(square, rng):
-    for z in cell_points(square, rng, 10, margin=0.1):
+    for z in sample_cell_points(square, rng, 10, margin=0.1):
         a = wp_prime_eval(z, square).value
         b = wp_prime_eval(-z, square).value
         assert abs(a + b) < 1e-10 * (1 + abs(a))
@@ -129,7 +161,7 @@ def test_wp_prime_odd(square, rng):
 def test_differential_equation_residual(reference_lattices, rng):
     for lat in reference_lattices:
         inv = invariants_qseries(lat)
-        for z in cell_points(lat, rng, 34, margin=0.05):
+        for z in sample_cell_points(lat, rng, 34, margin=0.05):
             u = wp_eval(z, lat).value
             v = wp_prime_eval(z, lat).value
             res = abs(v * v - (4 * u**3 - inv.g2 * u - inv.g3)) / (1 + abs(u) ** 3)
@@ -139,14 +171,14 @@ def test_differential_equation_residual(reference_lattices, rng):
 def test_wp_prime_matches_finite_difference(square, rng):
     # truncation ~ wp''' h^2 / 6 with wp''' ~ 24/d^5: needs pole margin ~0.3
     h = 1e-5
-    for z in cell_points(square, rng, 10, margin=0.3):
+    for z in sample_cell_points(square, rng, 10, margin=0.3):
         fd = (wp_eval(z + h, square).value - wp_eval(z - h, square).value) / (2 * h)
         assert abs(fd - wp_prime_eval(z, square).value) < 1e-6
 
 
 def test_wp_second_matches_finite_difference(square, rng):
     h = 1e-4
-    for z in cell_points(square, rng, 10, margin=0.45):
+    for z in sample_cell_points(square, rng, 10, margin=0.45):
         fd = (
             wp_eval(z + h, square).value
             - 2 * wp_eval(z, square).value
@@ -156,7 +188,7 @@ def test_wp_second_matches_finite_difference(square, rng):
 
 
 def test_wp_second_even(square, rng):
-    for z in cell_points(square, rng, 5, margin=0.1):
+    for z in sample_cell_points(square, rng, 5, margin=0.1):
         a = wp_second_eval(z, square).value
         b = wp_second_eval(-z, square).value
         assert abs(a - b) < 1e-10 * (1 + abs(a))

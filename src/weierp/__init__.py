@@ -54,10 +54,13 @@ from .verify import SuiteResult, run_all_suites
 from .wp import (
     EvalResult,
     LaurentCoefficients,
+    WpMany,
     laurent_coefficients,
     pole_distance,
+    pole_distance_many,
     wp_direct_sum,
     wp_eval,
+    wp_many,
     wp_prime_eval,
     wp_second_eval,
 )

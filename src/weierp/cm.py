@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAddition, FitFailure, PoleError, SingularSample
-from .identities import DEGREE_CAP, RationalMap, _condition, _padd, _peval
+from .identities import DEGREE_CAP, RationalMap, _padd
 from .lattice import CMWitness, Lattice, ensure_reduced, invariants_qseries, shortest_vector
-from .wp import pole_distance, wp_eval, wp_prime_eval
+from .wp import pole_distance_many, wp_many
 
 GOLDEN_ANGLE = 2.399963229728653
 SAMPLE_RADII = (0.18, 0.26)  # base-point circles, in shortest-vector units
@@ -71,10 +71,13 @@ class DiscExtension:
             raise ValueError("interval endpoints must satisfy a < b")
         lat = ensure_reduced(self.lattice)
         guard = 1e-9 * abs(lat.omega1)
-        for t in np.linspace(a, b, 33):
-            if pole_distance(complex(t), lat) <= guard:
+        ts = np.linspace(a, b, 33)
+        near = pole_distance_many(ts, lat) <= guard
+        near_image = pole_distance_many(self.pair.alpha * ts, lat) <= guard
+        for t, hit, hit_image in zip(ts, near, near_image):
+            if hit:
                 raise ValueError(f"interval point {t} hits a pole")
-            if pole_distance(self.pair.alpha * t, lat) <= guard:
+            if hit_image:
                 raise ValueError(f"alpha * {t} hits a pole")
 
 
@@ -107,23 +110,31 @@ def _sample_set(lat: Lattice, alpha: complex, base_count: int, offset: float) ->
     equal inputs: the ellipticity criterion itself, and the reason the
     negative branch of the dichotomy fails loudly instead of being masked by
     local rational approximation.  Rejected are points whose double or
-    alpha-image lands near a pole (wp' zeros and pole blowups).
+    alpha-image lands near a pole (wp' zeros and pole blowups).  Candidates
+    j = 0, 1, ... are screened a block at a time and accepted in order.
     """
     lam = shortest_vector(lat)
+    last = 300 * base_count + 1000  # the last candidate tried before giving up
     pts: list[complex] = []
-    j = 0
+    start = 0
     while len(pts) < base_count:
-        if j > 300 * base_count + 1000:
+        if start > last:
             raise SingularSample("sample rejection loop did not terminate")
-        theta = 0.37 + (j + offset) * GOLDEN_ANGLE
-        r = SAMPLE_RADII[j % 2] * lam
-        j += 1
-        z = complex(r * math.cos(theta), r * math.sin(theta))
-        if pole_distance(2.0 * z, lat) < HALF_PERIOD_MARGIN * lam:
-            continue
-        if pole_distance(alpha * z, lat) < IMAGE_POLE_MARGIN * lam:
-            continue
-        pts.append(z)
+        stop = min(start + 2 * (base_count - len(pts)) + 8, last + 1)
+        cand = []
+        for j in range(start, stop):
+            theta = 0.37 + (j + offset) * GOLDEN_ANGLE
+            r = SAMPLE_RADII[j % 2] * lam
+            cand.append(complex(r * math.cos(theta), r * math.sin(theta)))
+        start = stop
+        # products in Python arithmetic, which numpy's vectorised complex
+        # multiply does not match bit for bit: the screen then accepts
+        # exactly the points that pole_distance would
+        doubled = pole_distance_many([2.0 * z for z in cand], lat)
+        image = pole_distance_many([alpha * z for z in cand], lat)
+        accept = (doubled >= HALF_PERIOD_MARGIN * lam) & (image >= IMAGE_POLE_MARGIN * lam)
+        pts.extend(z for z, ok in zip(cand, accept) if ok)
+    del pts[base_count:]
     out: list[complex] = []
     for z in pts:
         out.extend((z, z + lat.omega1, z + lat.omega2))
@@ -139,18 +150,15 @@ def _fit_x_rational(xs, ws, num_deg: int, den_deg: int):
     vector gives the coefficients, mapped back to plain monomials at the end.
     """
     xs = np.asarray(xs)
+    ws = np.asarray(ws)
     center = np.mean(xs)
     half = max(np.max(np.abs(xs - center)), 1e-30)
     xi = (xs - center) / half
-    rows = []
-    for x, w in zip(xi, ws):
-        xp = np.array([x**k for k in range(num_deg + 1)], dtype=complex)
-        xq = np.array([x**k for k in range(den_deg + 1)], dtype=complex)
-        rows.append(np.concatenate([xp, -w * xq]))
-    m = np.array(rows)
+    powers = xi[:, None] ** np.arange(max(num_deg, den_deg) + 1)
+    m = np.hstack([powers[:, : num_deg + 1], -ws[:, None] * powers[:, : den_deg + 1]])
     scale = np.max(np.abs(m), axis=0)
     scale[scale == 0] = 1.0
-    _, _, vh = np.linalg.svd(m / scale)
+    _, _, vh = np.linalg.svd(m / scale, full_matrices=False)
     coeff = vh[-1].conj() / scale
 
     def to_monomial(cx: np.ndarray) -> np.ndarray:
@@ -192,6 +200,18 @@ def _prune_and_normalize(num: np.ndarray, den: np.ndarray, x_scale: float):
     return num / lead, den / lead
 
 
+def _horner_many(p: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p at every x by Horner's rule, and its cancellation factor
+    sum |c_k| |x|^k / |p(x)| (identities._condition) from the same pass."""
+    value = np.zeros_like(xs)
+    terms = np.zeros(xs.shape)
+    ax = np.abs(xs)
+    for c in p[::-1]:
+        value = value * xs + c
+        terms = terms * ax + abs(c)
+    return value, terms / np.maximum(np.abs(value), 1e-300)
+
+
 def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
     """Worst relative deviation of num/den from the targets on (xs, ws).
 
@@ -200,22 +220,21 @@ def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
     tolerance, so points beyond cond_cap are not counted as evidence either
     way.  A genuine non-multiplier still fails: its period-translate clash is
     order one at every point, conditioned or not.  If too few points remain
-    evaluable the fit is rejected outright.
+    evaluable, or a kept point deviates by NaN (a map or target that is not
+    finite), the fit is rejected outright.
     """
-    worst = 0.0
-    kept = 0
-    for x, w in zip(xs, ws):
-        nv = _peval(num, x)
-        dv = _peval(den, x)
-        if abs(dv) < DENOM_GUARD:
-            continue
-        if max(_condition(num, x, nv), _condition(den, x, dv)) > cond_cap:
-            continue
-        worst = max(worst, abs(nv / dv - w) / (1.0 + abs(w)))
-        kept += 1
-    if kept < max(4, len(xs) // 6):
+    xs = np.asarray(xs, dtype=complex)
+    ws = np.asarray(ws, dtype=complex)
+    nv, n_cond = _horner_many(num, xs)
+    dv, d_cond = _horner_many(den, xs)
+    kept = ~(np.abs(dv) < DENOM_GUARD) & ~(np.maximum(n_cond, d_cond) > cond_cap)
+    if np.count_nonzero(kept) < max(4, len(xs) // 6):
         return math.inf
-    return worst
+    w = ws[kept]
+    dev = np.abs(nv[kept] / dv[kept] - w) / (1.0 + np.abs(w))
+    if np.isnan(dev).any():
+        return math.inf
+    return float(np.max(dev))
 
 
 def _derivative_factor(num: np.ndarray, den: np.ndarray, alpha: complex):
@@ -227,11 +246,10 @@ def _derivative_factor(num: np.ndarray, den: np.ndarray, alpha: complex):
 
 
 def _eval_samples(lat: Lattice, alpha: complex, zs):
-    xs = np.array([wp_eval(z, lat).value for z in zs])
-    vs = np.array([wp_prime_eval(z, lat).value for z in zs])
-    wx = np.array([wp_eval(alpha * z, lat).value for z in zs])
-    wv = np.array([wp_prime_eval(alpha * z, lat).value for z in zs])
-    return xs, vs, wx, wv
+    """wp and wp' at the samples z and at their images alpha*z."""
+    zs = np.asarray(zs)
+    here, there = wp_many(zs, lat), wp_many(alpha * zs, lat)
+    return here.wp, here.wp1, there.wp, there.wp1
 
 
 def fit_multiplier_maps(
@@ -246,10 +264,11 @@ def fit_multiplier_maps(
     norm N of alpha, which caps the numerator degree of the even map at N and
     its denominator at N - 1; the odd factor needs at most 2N - 2 on both
     sides.  If the bound is too small the held-out validation fails and the
-    degrees are retried at 2N and 4N.  When alpha is not a multiplier at all,
-    the translate clash keeps every residual at order one and FitFailure
-    carries the best residual seen.  A norm above DEGREE_CAP fails at once:
-    the fit's matrices grow like N^2, its time like N^3.
+    degrees are retried at 2N and 4N, those not above DEGREE_CAP.  When alpha
+    is not a multiplier at all, the translate clash keeps every residual at
+    order one and FitFailure carries the best residual seen.  A norm above
+    DEGREE_CAP fails at once: the fit's matrices grow like N^2, its time like
+    N^3.
     """
     lat = ensure_reduced(lat)
     alpha = witness.alpha
@@ -263,6 +282,8 @@ def fit_multiplier_maps(
         raise ValueError(f"samples must be >= {4 * base_n + 4}")
     best_residual = math.inf
     for n_deg in (base_n, 2 * base_n, 4 * base_n):
+        if n_deg > DEGREE_CAP:
+            break
         unknowns = 2 * n_deg + 2
         base_count = max(2 * unknowns, 12, samples or 0)
         z_fit = _sample_set(lat, alpha, base_count, 0.0)
@@ -314,34 +335,79 @@ def fit_multiplier_maps(
 # ---------------------------------------------------------------------------
 
 
+# disc_eval's guards in the order it checks them; _disc_grid marks each node
+# with the index of the first guard it fails, 0 where the value is computed
+_DISC_GUARDS = (
+    None,
+    (PoleError, "wp pole at x"),
+    (PoleError, "wp pole at alpha*y"),
+    (DegenerateAddition, "x - alpha*y is a lattice point"),
+    (PoleError, "wp pole at y"),
+    (DegenerateAddition, "wp(x) coincides with the mapped wp value"),
+)
+
+
+def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """disc_eval at every node (x, y) of the grid xs x ys.
+
+    Each x and each y is evaluated once, and the fitted maps are applied once
+    per y.  Returns (status, value), both of shape (len(xs), len(ys)): status
+    is the index in _DISC_GUARDS of the first guard a node fails, 0 where it
+    passes them all, and value is NaN wherever status is not 0.
+    """
+    lat = ensure_reduced(de.lattice)
+    alpha = de.pair.alpha
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    shape = (len(xs), len(ys))
+    tiny = 1e-12 * abs(lat.omega1)
+    x_pole = pole_distance_many(xs, lat) <= tiny
+    ay = alpha * ys
+    ay_pole = pole_distance_many(ay, lat) <= tiny
+    y_pole = pole_distance_many(ys, lat) <= tiny
+    diff_pole = pole_distance_many(xs[:, None] - ay, lat) <= 1e-9 * abs(lat.omega1)
+
+    u1 = np.full(len(xs), np.nan, dtype=complex)
+    v1 = u1.copy()
+    here = wp_many(xs[~x_pole], lat)
+    u1[~x_pole], v1[~x_pole] = here.wp, here.wp1
+    u2 = np.full(len(ys), np.nan, dtype=complex)
+    v2 = u2.copy()
+    y_ok = ~(ay_pole | y_pole)
+    there = wp_many(ys[y_ok], lat)
+    for j, xy, vy in zip(np.flatnonzero(y_ok), there.wp, there.wp1):
+        xy = complex(xy)
+        u2[j] = de.pair.wp_map(xy)
+        v2[j] = complex(vy) * de.pair.wp_prime_factor(xy)
+    denom = u1[:, None] - u2
+    coincide = np.abs(denom) < 1e-10 * (1.0 + np.abs(u1)[:, None] + np.abs(u2))
+
+    guards = [np.broadcast_to(g, shape) for g in (x_pole[:, None], ay_pole, diff_pole, y_pole,
+                                                    coincide)]
+    status = np.select(guards, list(range(1, len(guards) + 1)))
+    ok = status == 0
+    u1, v1, u2, v2 = (np.broadcast_to(c, shape)[ok] for c in (u1[:, None], v1[:, None], u2, v2))
+    value = np.full(shape, np.nan, dtype=complex)
+    value[ok] = 0.25 * ((v1 - v2) / denom[ok]) ** 2 - u1 - u2
+    return status, value
+
+
 def disc_eval(de: DiscExtension, x: float, y: float) -> complex:
     """wp(x + alpha*y) using only real-argument evaluations and the fitted maps:
 
         wp(x + alpha y) = ((wp'(x) - S) / (wp(x) - R))^2 / 4 - wp(x) - R,
 
-    with R = wp_map(wp(y)) and S = wp'(y) * wp_prime_factor(wp(y)).
+    with R = wp_map(wp(y)) and S = wp'(y) * wp_prime_factor(wp(y)).  This is
+    the one-node case of the grid that verify_disc_extension checks.
     """
-    lat = ensure_reduced(de.lattice)
-    alpha = de.pair.alpha
     a, b = de.interval
     if not (a < x < b and a < y < b):
         raise ValueError("x and y must lie inside the interval")
-    if pole_distance(complex(x), lat) <= 1e-12 * abs(lat.omega1):
-        raise PoleError("wp pole at x")
-    if pole_distance(alpha * y, lat) <= 1e-12 * abs(lat.omega1):
-        raise PoleError("wp pole at alpha*y")
-    if pole_distance(x - alpha * y, lat) <= 1e-9 * abs(lat.omega1):
-        raise DegenerateAddition("x - alpha*y is a lattice point")
-    u1 = wp_eval(complex(x), lat).value
-    v1 = wp_prime_eval(complex(x), lat).value
-    xy = wp_eval(complex(y), lat).value
-    vy = wp_prime_eval(complex(y), lat).value
-    u2 = de.pair.wp_map(xy)
-    v2 = vy * de.pair.wp_prime_factor(xy)
-    denom = u1 - u2
-    if abs(denom) < 1e-10 * (1.0 + abs(u1) + abs(u2)):
-        raise DegenerateAddition("wp(x) coincides with the mapped wp value")
-    return 0.25 * ((v1 - v2) / denom) ** 2 - u1 - u2
+    status, value = _disc_grid(de, [x], [y])
+    if status[0, 0]:
+        error, message = _DISC_GUARDS[status[0, 0]]
+        raise error(message)
+    return complex(value[0, 0])
 
 
 def verify_disc_extension(de: DiscExtension, grid_n: int, tol: float) -> DiscReport:
@@ -349,31 +415,20 @@ def verify_disc_extension(de: DiscExtension, grid_n: int, tol: float) -> DiscRep
 
     Grid nodes sit at midpoint fractions (j + 1/2)/grid_n, so refining the
     grid by an integer factor keeps coarser nodes in place.  Degenerate points
-    are skipped and counted; everything else contributes to the max error.
+    are skipped and counted; everything else contributes to the max error,
+    a non-finite error as an infinite one.
     """
     if grid_n < 4:
         raise ValueError("grid_n must be >= 4")
-    lat = ensure_reduced(de.lattice)
     a, b = de.interval
-    alpha = de.pair.alpha
     nodes = [a + (b - a) * (j + 0.5) / grid_n for j in range(grid_n)]
-    worst = 0.0
-    checked = 0
-    skipped = 0
-    failures = []
-    for x in nodes:
-        for y in nodes:
-            try:
-                approx = disc_eval(de, x, y)
-            except (DegenerateAddition, PoleError):
-                skipped += 1
-                continue
-            exact = wp_eval(complex(x) + alpha * y, lat).value
-            err = abs(approx - exact)
-            if math.isnan(err):  # a NaN would vanish in max() below
-                err = math.inf
-            checked += 1
-            worst = max(worst, err)
-            if err > tol:
-                failures.append((x, y, err))
-    return DiscReport(worst, checked, tuple(failures), skipped)
+    status, approx = _disc_grid(de, nodes, nodes)
+    ok = status == 0
+    ix, iy = np.nonzero(ok)
+    grid = np.asarray(nodes)
+    exact = wp_many(grid[ix] + de.pair.alpha * grid[iy], de.lattice).wp
+    err = np.abs(approx[ok] - exact)
+    err[np.isnan(err)] = math.inf
+    worst = float(np.max(err)) if err.size else 0.0
+    failures = tuple((nodes[i], nodes[j], float(e)) for i, j, e in zip(ix, iy, err) if e > tol)
+    return DiscReport(worst, int(err.size), failures, int(status.size - err.size))

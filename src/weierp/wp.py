@@ -9,6 +9,13 @@ arXiv:1806.06725), with wp' and wp'' from the same terms differentiated.  On
 a reduced basis |Q| = |exp(2 pi i tau)| <= exp(-pi sqrt(3)), so the series
 needs at most about twenty terms, no step cancels, and tall lattices are as
 accurate as square ones.
+
+wp_many and pole_distance_many are the array-in, array-out twins of the
+scalar routines, with the same reduction, stop rule and error bound per
+point; callers that hold many points of one lattice (the CM fit and the disc
+grid) use them.  The scalar wp_eval, wp_prime_eval and pole_distance stay
+for callers that take one point at a time: numpy's overhead per call would
+make a one-point array evaluation slower than the plain complex arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +101,20 @@ def pole_distance(z: complex, lat: Lattice) -> float:
     x, y = lat.coords(z)
     m, n = round(x), round(y)
     return min(abs(z - lat.point(m + i, n + j)) for i in (-1, 0, 1) for j in (-1, 0, 1))
+
+
+def pole_distance_many(zs, lat: Lattice) -> np.ndarray:
+    """pole_distance at every entry of an array, bit for bit.
+
+    Distances go through np.hypot, as abs(complex) does: np.abs rounds
+    differently, and screens against fixed margins must not move.
+    """
+    z = np.asarray(zs, dtype=complex)
+    lat = ensure_reduced(lat)
+    x, y = lat.coords(z)
+    m, n = np.rint(x), np.rint(y)
+    gaps = [z - lat.point(m + i, n + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    return np.min([np.hypot(g.real, g.imag) for g in gaps], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +282,112 @@ def wp_prime_eval(z: complex, lat: Lattice) -> EvalResult:
 def wp_second_eval(z: complex, lat: Lattice) -> EvalResult:
     """wp''(z), the second term-wise derivative of the same series."""
     return _wp_triple(z, lat)[2]
+
+
+class WpMany(NamedTuple):
+    """wp, wp' and wp'' at an array of points, with their error bounds."""
+
+    wp: np.ndarray
+    wp1: np.ndarray
+    wp2: np.ndarray
+    wp_err: np.ndarray
+    wp1_err: np.ndarray
+    wp2_err: np.ndarray
+
+
+def _csc2_cot_many(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_csc2_cot at every entry, each branch taken on its own entries."""
+    u = np.empty_like(v)
+    t = np.empty_like(v)
+    near = np.abs(v.imag) <= 1.0
+    s = np.sin(v[near])
+    u[near], t[near] = 1.0 / (s * s), np.cos(v[near]) / s
+    far = ~near
+    sign = np.where(v[far].imag > 0, 1.0, -1.0)
+    w = np.exp(2j * sign * v[far])
+    u[far], t[far] = -4.0 * w / (1.0 - w) ** 2, sign * 1j * (w + 1.0) / (w - 1.0)
+    return u, t
+
+
+def wp_many(zs, lat: Lattice) -> WpMany:
+    """_wp_triple at every entry of an array, in one pass over the series.
+
+    Each point is reduced, summed and bounded as in _wp_triple: the terms
+    that depend only on the lattice (Q^n, d_n) are shared, and a point stops
+    adding terms at its own first n >= 2 that passes the stop test, so its
+    sums, last term and error bound are those of the scalar routine.  Raises
+    PoleError if any point is within pole tolerance of the lattice.
+    """
+    z = np.asarray(zs, dtype=complex)
+    lat = ensure_reduced(lat)
+    x, y = lat.coords(z)
+    w = lat.point(np.rint(x), np.rint(y))
+    z0 = z - w
+    hit = np.hypot(z0.real, z0.imag) <= POLE_REL_TOL * abs(lat.omega1)
+    if np.any(hit):
+        raise PoleError(f"z = {complex(z[hit][0])!r} is within pole tolerance of the lattice")
+    k = math.pi / lat.omega1
+    v = k * z0
+    phase = 2j * math.pi * lat.tau
+    q, a, b = cmath.exp(phase), np.exp(phase + 2j * v), np.exp(phase - 2j * v)
+    u, t = _csc2_cot_many(v)
+    grow = 2.0 * (abs(phase) + np.abs(v))
+    rq, ra, rb = abs(q), np.abs(a), np.abs(b)
+
+    s0 = np.zeros_like(z)
+    s1 = np.zeros_like(z)
+    s2 = np.zeros_like(z)
+    au = np.abs(u)
+    m0, m1, m2 = au + 1.0 / 3.0, 2.0 * au * np.abs(t), au * (6.0 * au + 4.0)
+    t0 = t1 = t2 = np.zeros(z.shape)
+    qn = 1.0 + 0j
+    an = np.ones_like(z)
+    bn = np.ones_like(z)
+    mq = 1.0
+    ma = np.ones(z.shape)
+    mb = np.ones(z.shape)
+    live = None  # points still adding terms, None while that is all of them
+
+    def step(new, old):
+        return new if live is None else np.where(live, new, old)
+
+    for n in range(1, MAX_TERMS + 1):
+        qn *= q
+        an *= a
+        bn *= b
+        d = n / (1.0 - qn)
+        ab = an + bn
+        s0 = step(s0 + d * (qn - 0.5 * ab), s0)
+        s1 = step(s1 + n * d * (an - bn), s1)
+        s2 = step(s2 + n * n * d * ab, s2)
+        mq *= rq
+        ma *= ra
+        mb *= rb
+        md = n / (1.0 - mq)
+        t0 = step(8.0 * md * (mq + 0.5 * (ma + mb)), t0)
+        t1 = step(8.0 * n * md * (ma + mb), t1)
+        t2 = step(2.0 * n * t1, t2)
+        weight = 1.0 + n * grow
+        m0 = step(m0 + weight * t0, m0)
+        m1 = step(m1 + weight * t1, m1)
+        m2 = step(m2 + weight * t2, m2)
+        if n > 1:
+            # a stopped point's t and m are frozen, so it keeps passing
+            done = (t0 <= _EPS * m0) & (t1 <= _EPS * m1) & (t2 <= _EPS * m2)
+            if done.all():
+                break
+            if done.any():
+                live = ~done
+
+    k2 = k * k
+    wp = k2 * (u - 1.0 / 3.0 + 8.0 * s0)
+    wp1 = k2 * k * (-2.0 * u * t - 8j * s1)
+    wp2 = k2 * k2 * (u * (6.0 * u - 4.0) + 16.0 * s2)
+    reach = 4.0 * _EPS * (np.abs(z) + np.abs(w))
+    ak2 = abs(k2)
+    return WpMany(
+        wp, wp1, wp2,
+        ak2 * (ROUNDOFF * _EPS * m0 + t0) + np.abs(wp1) * reach,
+        ak2 * abs(k) * (ROUNDOFF * _EPS * m1 + t1) + np.abs(wp2) * reach,
+        ak2 * ak2 * (ROUNDOFF * _EPS * m2 + t2) + 12.0 * np.abs(wp * wp1) * reach,
+    )

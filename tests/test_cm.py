@@ -8,15 +8,18 @@ import pytest
 from weierp.cm import (
     CMRationalPair,
     DiscExtension,
+    _disc_grid,
+    _horner_many,
+    _rational_residual,
     disc_eval,
     fit_multiplier_maps,
     verify_disc_extension,
 )
-from weierp.errors import DegenerateAddition, FitFailure
-from weierp.identities import multiplication_by_n
+from weierp.errors import DegenerateAddition, FitFailure, PoleError
+from weierp.identities import RationalMap, _condition, _peval, multiplication_by_n
 from weierp.lattice import CMWitness, detect_cm, invariants_qseries, reduce_generators
 from weierp.verify import sample_cell_points
-from weierp.wp import wp_eval, wp_prime_eval
+from weierp.wp import wp_eval, wp_many, wp_prime_eval
 
 INTERVAL = (0.125, 0.375)
 
@@ -130,6 +133,39 @@ def test_fit_refuses_norm_above_degree_cap():
         fit_multiplier_maps(lat, witness)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_at_norm_144_fails_loudly():
+    # tau = 12i (norm 144): the odd factor's powers overflow binary64, and the
+    # NaN residual they lead to must fail the fit, not pass it
+    lat = reduce_generators(1.0, 12j)
+    witness = detect_cm(lat)
+    assert witness.norm == 144
+    with pytest.raises(FitFailure) as exc_info:
+        fit_multiplier_maps(lat, witness)
+    assert exc_info.value.residual == math.inf
+
+
+def test_horner_many_matches_scalar_horner(rng):
+    p = rng.normal(size=13) + 1j * rng.normal(size=13)
+    xs = 1.5 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+    values, conds = _horner_many(p, xs)
+    for x, value, cond in zip(xs, values, conds):
+        want = _peval(p, x)
+        want_cond = _condition(p, x, want)
+        assert abs(value - want) <= 1e-14 * want_cond * abs(want)
+        assert abs(cond - want_cond) <= 1e-12 * want_cond
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_rational_residual_nan_target_is_inf():
+    xs = np.linspace(1.0, 2.0, 24) + 0.5j
+    ws = 2.0 * xs
+    num, den = np.array([0.0, 2.0 + 0j]), np.array([1.0 + 0j])
+    assert _rational_residual(num, den, xs, ws) < 1e-15
+    ws[5] = math.nan
+    assert _rational_residual(num, den, xs, ws) == math.inf
+
+
 def test_samples_argument_validated(square):
     with pytest.raises(ValueError):
         fit_multiplier_maps(square, CMWitness(1j, (1, 0, 1), 1), samples=3)
@@ -203,8 +239,6 @@ def test_verify_disc_hexagonal(hexagonal, hex_pair):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_verify_disc_counts_nan_as_failure(square, square_pair):
-    from weierp.identities import RationalMap
-
     nan_map = RationalMap.from_x_rational(square_pair.wp_map.invariants,
                                           np.array([math.nan]), np.array([1.0]))
     pair = CMRationalPair(square_pair.alpha, nan_map, square_pair.wp_prime_factor, 1)
@@ -226,15 +260,56 @@ def test_grid_nesting_determinism(square, square_pair):
             assert disc_eval(de, x, y) == disc_eval(de, x, y)
 
 
+def sign_pair(lat, sign):
+    """alpha = +-1 with wp(alpha z) = wp(z) and wp'(alpha z) = alpha wp'(z)."""
+    inv = invariants_qseries(lat)
+    ident = RationalMap.from_x_rational(inv, np.array([0.0, 1.0]), np.array([1.0]))
+    factor = RationalMap.from_x_rational(inv, np.array([sign]), np.array([1.0]))
+    return CMRationalPair(sign + 0j, ident, factor, 1)
+
+
 def test_disc_eval_degenerate_guard(square):
     # alpha = 1 with the identity map makes x = y hit both excluded cases:
     # x - alpha*y is the lattice point 0 and wp(x) equals the mapped value
-    from weierp.identities import RationalMap
-
-    inv = invariants_qseries(square)
-    ident = RationalMap.from_x_rational(inv, np.array([0.0, 1.0]), np.array([1.0]))
-    one = RationalMap.from_x_rational(inv, np.array([1.0]), np.array([1.0]))
-    pair = CMRationalPair(1.0 + 0j, ident, one, 1)
-    de = DiscExtension(square, pair, INTERVAL)
-    with pytest.raises(DegenerateAddition):
+    de = DiscExtension(square, sign_pair(square, 1.0), INTERVAL)
+    with pytest.raises(DegenerateAddition, match="lattice point"):
         disc_eval(de, 0.25, 0.25)
+    # alpha = -1 keeps x - alpha*y off the lattice, so only the second fires
+    de = DiscExtension(square, sign_pair(square, -1.0), INTERVAL)
+    with pytest.raises(DegenerateAddition, match="coincides"):
+        disc_eval(de, 0.25, 0.25)
+
+
+@pytest.mark.parametrize("case", ["square", "hexagonal", "alpha=1", "alpha=-1"])
+def test_grid_values_are_disc_eval(case, square, hexagonal, square_pair, hex_pair):
+    # verify_disc_extension and disc_eval share one routine: every grid value
+    # is disc_eval's bit for bit, and both skip the same nodes
+    lat, pair = {
+        "square": (square, square_pair),
+        "hexagonal": (hexagonal, hex_pair),
+        "alpha=1": (square, sign_pair(square, 1.0)),
+        "alpha=-1": (square, sign_pair(square, -1.0)),
+    }[case]
+    de = DiscExtension(lat, pair, INTERVAL)
+    a, b = INTERVAL
+    nodes = [a + (b - a) * (j + 0.5) / 20 for j in range(20)]
+    status, values = _disc_grid(de, nodes, nodes)
+    skipped = set()
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            try:
+                got = disc_eval(de, x, y)
+            except (DegenerateAddition, PoleError):
+                skipped.add((i, j))
+                continue
+            assert got == values[i, j], (x, y)
+    assert skipped == {(int(i), int(j)) for i, j in zip(*np.nonzero(status))}
+    assert len(skipped) == (20 if case.startswith("alpha") else 0)
+    report = verify_disc_extension(de, 20, 1e-8)
+    assert (report.points_checked, report.skipped) == (400 - len(skipped), len(skipped))
+    ok = status == 0
+    ix, iy = np.nonzero(ok)
+    grid = np.asarray(nodes)
+    exact = wp_many(grid[ix] + pair.alpha * grid[iy], lat).wp
+    assert report.max_abs_error == np.max(np.abs(values[ok] - exact))
+    assert report.max_abs_error < 1e-8

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from weierp.errors import PoleError
@@ -7,10 +9,13 @@ from weierp.lattice import _disc_points, invariants_qseries, reduce_generators, 
 from weierp.verify import sample_cell_points
 from weierp.wp import (
     _oracle_setup,
+    _wp_triple,
     laurent_coefficients,
     pole_distance,
+    pole_distance_many,
     wp_direct_sum,
     wp_eval,
+    wp_many,
     wp_prime_eval,
     wp_second_eval,
 )
@@ -245,3 +250,55 @@ def test_pole_distance_brute_force(reference_lattices, rng):
                 abs(z - lat.point(m, n)) for m in range(-6, 7) for n in range(-6, 7)
             )
             assert pole_distance(z, lat) == pytest.approx(brute, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation
+# ---------------------------------------------------------------------------
+
+
+ROT = cmath.exp(0.3j)
+BATCH_LATTICES = {
+    "square": (1.0, 1j),
+    "hexagonal": (1.0, complex(0.5, math.sqrt(3.0) / 2.0)),
+    "generic": (1.0, 0.31 + 1.27j),
+    "edge": (1.0, 0.495 + 0.95j),
+    "5i": (1.0, 5j),
+    "12i": (1.0, 12j),
+    "30i": (1.0, 30j),
+    "scaled_1e3": (1e3 * ROT, 1e3 * ROT * (0.31 + 1.27j)),
+    "scaled_1e-3": (1e-3 * ROT, 1e-3 * ROT * (0.31 + 1.27j)),
+}
+
+
+def batch_points(lat, rng):
+    """Cell points, the same points +-300 periods out, and points 1e-9 to
+    1e-3 of a period from lattice points and from the three half-periods."""
+    w1, w2 = lat.omega1, lat.omega2
+    x, y = rng.uniform(-0.5, 0.5, (2, 40))
+    cell = x * w1 + y * w2
+    m, n = rng.integers(-300, 301, (2, 40))
+    offsets = abs(w1) * np.outer([1e-9, 1e-6, 1e-3], np.exp(1j * rng.uniform(0, 2 * math.pi, 4)))
+    centres = [lat.point(0, 0), lat.point(3, -2), w1 / 2, w2 / 2, (w1 + w2) / 2]
+    near = [c + d for c in centres for d in offsets.ravel()]
+    return np.concatenate([cell, cell + m * w1 + n * w2, near])
+
+
+@pytest.mark.parametrize("name", BATCH_LATTICES)
+def test_wp_many_matches_scalar(name):
+    lat = reduce_generators(*BATCH_LATTICES[name])
+    zs = batch_points(lat, np.random.default_rng(5))
+    got = wp_many(zs, lat)
+    values = (got.wp, got.wp1, got.wp2)
+    errs = (got.wp_err, got.wp1_err, got.wp2_err)
+    for i, z in enumerate(zs):
+        for k, want in enumerate(_wp_triple(z, lat)):
+            assert abs(values[k][i] - want.value) <= want.err_estimate, (z, k)
+            assert abs(errs[k][i] - want.err_estimate) <= 1e-12 * want.err_estimate, (z, k)
+    assert np.array_equal(pole_distance_many(zs, lat), [pole_distance(z, lat) for z in zs])
+
+
+def test_wp_many_pole_raises(square):
+    with pytest.raises(PoleError):
+        wp_many([0.3 + 0.2j, 3 - 2j], square)
+    assert np.all(np.isfinite(wp_many([0.3 + 0.2j, 3 - 2j + 1e-9], square).wp))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAddition, FitFailure, PoleError, SingularSample
-from .identities import DEGREE_CAP, RationalMap, _padd
+from .identities import DEGREE_CAP, RationalMap, _condition, _padd, _peval
 from .lattice import CMWitness, Lattice, ensure_reduced, invariants_qseries, shortest_vector
 from .wp import pole_distance_many, wp_many
 
@@ -200,18 +200,6 @@ def _prune_and_normalize(num: np.ndarray, den: np.ndarray, x_scale: float):
     return num / lead, den / lead
 
 
-def _horner_many(p: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p at every x by Horner's rule, and its cancellation factor
-    sum |c_k| |x|^k / |p(x)| (identities._condition) from the same pass."""
-    value = np.zeros_like(xs)
-    terms = np.zeros(xs.shape)
-    ax = np.abs(xs)
-    for c in p[::-1]:
-        value = value * xs + c
-        terms = terms * ax + abs(c)
-    return value, terms / np.maximum(np.abs(value), 1e-300)
-
-
 def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
     """Worst relative deviation of num/den from the targets on (xs, ws).
 
@@ -225,9 +213,9 @@ def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
     """
     xs = np.asarray(xs, dtype=complex)
     ws = np.asarray(ws, dtype=complex)
-    nv, n_cond = _horner_many(num, xs)
-    dv, d_cond = _horner_many(den, xs)
-    kept = ~(np.abs(dv) < DENOM_GUARD) & ~(np.maximum(n_cond, d_cond) > cond_cap)
+    nv, dv = _peval(num, xs), _peval(den, xs)
+    cond = np.maximum(_condition(num, xs, nv), _condition(den, xs, dv))
+    kept = ~(np.abs(dv) < DENOM_GUARD) & ~(cond > cond_cap)
     if np.count_nonzero(kept) < max(4, len(xs) // 6):
         return math.inf
     w = ws[kept]
@@ -375,10 +363,8 @@ def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     v2 = u2.copy()
     y_ok = ~(ay_pole | y_pole)
     there = wp_many(ys[y_ok], lat)
-    for j, xy, vy in zip(np.flatnonzero(y_ok), there.wp, there.wp1):
-        xy = complex(xy)
-        u2[j] = de.pair.wp_map(xy)
-        v2[j] = complex(vy) * de.pair.wp_prime_factor(xy)
+    u2[y_ok] = de.pair.wp_map(there.wp)
+    v2[y_ok] = there.wp1 * de.pair.wp_prime_factor(there.wp)
     denom = u1[:, None] - u2
     coincide = np.abs(denom) < 1e-10 * (1.0 + np.abs(u1)[:, None] + np.abs(u2))
 

@@ -52,17 +52,25 @@ def _pmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _peval(p: np.ndarray, x: complex) -> complex:
+def _peval(p: np.ndarray, x):
+    """p at x by Horner's rule; x may be a number or an array."""
     acc = 0j
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def _condition(p: np.ndarray, x: complex, value: complex) -> float:
-    """Horner cancellation factor of p at x: sum of |term| over |value|."""
-    terms = float(np.sum(np.abs(p) * np.abs(x) ** np.arange(len(p))))
-    return terms / max(abs(value), 1e-300)
+def _condition(p: np.ndarray, x, value):
+    """Horner cancellation factor of p at x: sum of |term| over |value|.
+
+    x and value may be arrays of one shape; each entry gets the factor the
+    scalar call gives it, bit for bit (|value| via np.hypot, which rounds as
+    abs(complex) does; np.abs does not).
+    """
+    ax = np.abs(np.asarray(x))[..., None]
+    terms = np.sum(np.abs(p) * ax ** np.arange(len(p)), axis=-1)
+    value = np.asarray(value)
+    return terms / np.maximum(np.hypot(value.real, value.imag), 1e-300)
 
 
 def curve_polynomial(inv: Invariants) -> np.ndarray:
@@ -114,7 +122,7 @@ class RationalMap:
         """
         worst = 1.0
         for p in (self.num_even, self.den_even):
-            worst = max(worst, _condition(p, x, _peval(p, x)))
+            worst = max(worst, float(_condition(p, x, _peval(p, x))))
         return worst
 
     def is_x_only(self) -> bool:

@@ -9,14 +9,13 @@ from weierp.cm import (
     CMRationalPair,
     DiscExtension,
     _disc_grid,
-    _horner_many,
     _rational_residual,
     disc_eval,
     fit_multiplier_maps,
     verify_disc_extension,
 )
 from weierp.errors import DegenerateAddition, FitFailure, PoleError
-from weierp.identities import RationalMap, _condition, _peval, multiplication_by_n
+from weierp.identities import RationalMap, multiplication_by_n
 from weierp.lattice import CMWitness, detect_cm, invariants_qseries, reduce_generators
 from weierp.verify import sample_cell_points
 from weierp.wp import wp_eval, wp_many, wp_prime_eval
@@ -143,17 +142,6 @@ def test_fit_at_norm_144_fails_loudly():
     with pytest.raises(FitFailure) as exc_info:
         fit_multiplier_maps(lat, witness)
     assert exc_info.value.residual == math.inf
-
-
-def test_horner_many_matches_scalar_horner(rng):
-    p = rng.normal(size=13) + 1j * rng.normal(size=13)
-    xs = 1.5 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-    values, conds = _horner_many(p, xs)
-    for x, value, cond in zip(xs, values, conds):
-        want = _peval(p, x)
-        want_cond = _condition(p, x, want)
-        assert abs(value - want) <= 1e-14 * want_cond * abs(want)
-        assert abs(cond - want_cond) <= 1e-12 * want_cond
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

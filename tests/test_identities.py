@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from weierp.errors import DegenerateAddition, HalfPeriodSingularity
 from weierp.identities import (
     RationalMap,
+    _condition,
+    _peval,
     addition_formula,
     curve_polynomial,
     diffeq_residual,
@@ -317,3 +319,19 @@ def test_rational_map_condition_flags_cancellation(rect2i):
     inv = invariants_qseries(rect2i)
     m5 = multiplication_by_n(5, inv)
     assert m5.condition(100.0 + 0j) < 1e4  # leading term dominates far out
+
+
+@pytest.mark.parametrize("degree", [0, 12, 160])
+def test_condition_on_arrays_matches_scalar(degree, rng):
+    # the fit's residual screens whole arrays against a fixed cap, so each
+    # entry must get exactly the factor a one-point call gives it
+    p = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) * 10.0 ** rng.uniform(
+        -3, 3, size=degree + 1
+    )
+    xs = (rng.normal(size=60) + 1j * rng.normal(size=60)) * 10.0 ** rng.uniform(-1, 0.3, size=60)
+    values = _peval(p, xs)
+    conds = _condition(p, xs, values)
+    assert values.shape == conds.shape == xs.shape
+    for x, value, cond in zip(xs, values, conds):
+        assert cond == _condition(p, complex(x), complex(value))
+        assert abs(value - _peval(p, complex(x))) <= 1e-14 * cond * abs(value)

@@ -1,6 +1,14 @@
 """Weierstrass elliptic function numerics over complex lattices."""
 
-from .cm import CMRationalPair, DiscExtension, DiscReport, disc_eval, fit_multiplier_maps, verify_disc_extension
+from .cm import (
+    CMRationalPair,
+    DiscExtension,
+    DiscReport,
+    PoleSumMap,
+    disc_eval,
+    fit_multiplier_maps,
+    verify_disc_extension,
+)
 from .errors import (
     DegenerateAddition,
     DegenerateLattice,

@@ -4,13 +4,13 @@ Subcommands:
     lattice   reduce a basis, classify it, report invariants and CM search
     eval      evaluate wp, wp', wp'' at a point, optionally against the oracle
     verify    run every identity suite with a seeded sampler
-    disc      CM detection, rational-map fit, and disc reconstruction check
+    disc      CM detection, multiplier maps, and disc reconstruction check
 
 Every run prints a human-readable summary followed by a machine-readable JSON
 block after a sentinel line.  Reports contain no timestamps and all sampling
 is seeded, so identical configurations produce byte-identical output.
 
-Exit codes: 0 success; 1 failed verification or map fit; 2 degenerate
+Exit codes: 0 success; 1 failed verification or multiplier maps; 2 degenerate
 lattice; 3 evaluation at a pole; 4 no complex multiplication with leading
 coefficient within the bound.
 """
@@ -90,10 +90,6 @@ def _emit(lines: list[str], machine: dict, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-
-
-def _map_payload(rm) -> dict:
-    return json.loads(rm.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def cmd_disc(args) -> int:
     except FitFailure as exc:
         lines = [
             "weierp disc report",
-            f"rational-map fit failed: held-out residual {exc.residual!r}",
+            f"multiplier maps failed: {exc}",
         ]
         machine = {
             "command": "disc",
@@ -258,8 +254,9 @@ def cmd_disc(args) -> int:
     lines = [
         "weierp disc report",
         f"alpha: {_fmt_complex(pair.alpha)} (norm {pair.norm})",
-        f"wp map numerator: {[_fmt_complex(c) for c in pair.wp_map.num_even]}",
-        f"wp map denominator: {[_fmt_complex(c) for c in pair.wp_map.den_even]}",
+        f"wp map: {_fmt_complex(1.0 / pair.alpha**2)} * (X + terms at "
+        f"{len(pair.wp_map.poles)} kernel poles)",
+        f"validation residual: {pair.residual!r}",
         f"interval: ({args.interval[0]!r}, {args.interval[1]!r})",
         f"grid: {args.grid}x{args.grid}",
         f"max abs error: {report.max_abs_error!r}",
@@ -273,8 +270,7 @@ def cmd_disc(args) -> int:
             "norm": pair.norm,
             "min_poly": list(witness.min_poly) if witness.min_poly else None,
         },
-        "wp_map": _map_payload(pair.wp_map),
-        "wp_prime_factor": _map_payload(pair.wp_prime_factor),
+        "maps": pair.payload(),
         "interval": list(args.interval),
         "grid": args.grid,
         "max_abs_error": report.max_abs_error,

@@ -1,60 +1,120 @@
-"""Rational maps attached to a complex-multiplication lattice, and evaluation
+"""Exact multiplier maps of a complex-multiplication lattice, and evaluation
 of wp on a disc from real-interval data only.
 
-When alpha maps the lattice into itself, z -> wp(alpha z) is an elliptic
-function for the same lattice, hence a rational function of (wp, wp').  Since
-wp(alpha z) is even it is rational in wp alone; wp'(alpha z) is odd, so it is
-wp' times another rational function of wp.  Both are recovered numerically by
-a homogeneous least-squares fit on sampled values and validated on held-out
-points.  The composed addition law then evaluates wp(x + alpha y) for real x,
-y using nothing but interval evaluations and the fitted maps.
+When alpha maps the lattice L into itself, z -> wp(alpha z) is an elliptic
+function for L, even, hence a rational function R of wp(z); wp'(alpha z) is
+odd, so it is wp'(z) times S(wp(z)) with S = R'/alpha.  The kernel
+K = alpha^-1 L / L of z -> alpha z has N = |alpha|^2 points, and Velu's
+formula (J. Velu, "Isogenies entre courbes elliptiques", C. R. Acad. Sci.
+Paris 273, 1971) gives R exactly:
 
-Sampling exercises the lattice action: every base point is accompanied by its
-two period translates.  Translates leave wp(z) unchanged, so when alpha is
-not a genuine multiplier the target values clash on equal inputs and no
-rational function can fit them; this is the ellipticity criterion itself and
-is what makes the negative branch of the dichotomy fail loudly instead of
-being masked by local rational approximation.
+    wp(alpha z) = alpha^-2 [wp(z) + sum over Q in K, Q != 0, of (wp(z + Q) - wp(Q))].
+
+The addition law writes each term in x = wp(z) and the pole x_Q = wp(Q), so
+the maps are stored as pole sums over (alpha, x_Q, g2, g3): nothing is
+fitted.  K comes from the integer matrix of alpha on the basis, its N
+points from one gcd, and every x_Q from one batched evaluation.  The built
+maps are validated against wp(alpha z) on held-out points.  A trial alpha
+that does not carry L into itself has no integer matrix, and fails loudly
+with its containment defect.  The composed addition law then evaluates
+wp(x + alpha y) for real x, y using nothing but interval evaluations and
+the maps.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateAddition, FitFailure, PoleError, SingularSample
-from .identities import DEGREE_CAP, RationalMap, _condition, _padd, _peval
-from .lattice import CMWitness, Lattice, ensure_reduced, invariants_qseries, shortest_vector
+from .lattice import (
+    CMWitness,
+    Lattice,
+    _integer_coords,
+    ensure_reduced,
+    invariants_qseries,
+    shortest_vector,
+)
 from .wp import pole_distance_many, wp_many
 
+# Largest kernel size N built: a map applied to n points holds a few
+# n x (N - 1) complex arrays, 64 KB per point and array at the bound.
+MAX_NORM = 4096
+CONTAINMENT_TOL = 1e-9   # detect_cm's tolerance on the integer matrix of alpha
+VALIDATION_TOL = 1e-9
+VALIDATION_POINTS = 32
 GOLDEN_ANGLE = 2.399963229728653
-SAMPLE_RADII = (0.18, 0.26)  # base-point circles, in shortest-vector units
-HALF_PERIOD_MARGIN = 0.08    # distance of 2z to poles, keeps wp'(z) away from 0
+SAMPLE_RADII = (0.18, 0.26)  # validation circles, in shortest-vector units
 IMAGE_POLE_MARGIN = 0.05     # distance of alpha*z to poles
-PRUNE_REL = 1e-10
-DENOM_GUARD = 1e-10
+
+
+@dataclass(frozen=True)
+class PoleSumMap:
+    """x = wp(z) -> wp(alpha z), or wp'(alpha z) / wp'(z) when odd.
+
+    With the poles x_Q = wp(Q) for Q != 0 in the kernel K of alpha,
+
+        R(x) = alpha^-2 [x + sum (a_Q x + b_Q) / (x - x_Q)^2],
+        S(x) = R'(x) / alpha = alpha^-3 [1 - sum (a_Q x + c_Q) / (x - x_Q)^3],
+
+    where a_Q = 3 x_Q^2 - g2/4, b_Q = -x_Q^3 - g2 x_Q/4 - g3/2 and
+    c_Q = a_Q x_Q + 2 b_Q.  Each R term is half of wp(z+Q) + wp(z-Q) - 2 wp(Q)
+    by the addition law, so a sum over every Q != 0 counts each pair {Q, -Q}
+    once and a 2-torsion Q as wp(z+Q) - wp(Q), with no pairing.  x may be a
+    number or an array.
+    """
+
+    alpha: complex
+    poles: np.ndarray
+    g2: complex
+    g3: complex
+    odd: bool = False
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=complex)
+        q = self.poles
+        a = 3.0 * q * q - 0.25 * self.g2
+        d = x[..., None] - q
+        if self.odd:
+            c = q * q * q - 0.75 * self.g2 * q - self.g3
+            terms = (a * x[..., None] + c) / (d * d * d)
+            return (1.0 - np.sum(terms, axis=-1)) / self.alpha**3
+        b = -q * q * q - 0.25 * self.g2 * q - 0.5 * self.g3
+        terms = (a * x[..., None] + b) / (d * d)
+        return (x + np.sum(terms, axis=-1)) / self.alpha**2
 
 
 @dataclass(frozen=True)
 class CMRationalPair:
-    """Maps with wp(alpha z) = wp_map(wp(z)) and wp'(alpha z) = wp'(z) * wp_prime_factor(wp(z))."""
+    """Maps with wp(alpha z) = wp_map(wp(z)) and wp'(alpha z) = wp'(z) * wp_prime_factor(wp(z)).
+
+    residual is the held-out validation residual of the pair.
+    """
 
     alpha: complex
-    wp_map: RationalMap
-    wp_prime_factor: RationalMap
+    wp_map: PoleSumMap
+    wp_prime_factor: PoleSumMap
     norm: int
+    residual: float
 
-    def to_text(self) -> str:
-        payload = {
-            "alpha": [self.alpha.real, self.alpha.imag],
+    def payload(self) -> dict:
+        """JSON-ready description: wp_map is scale * (X + pole terms)."""
+
+        def pair(z) -> list[float]:
+            return [complex(z).real, complex(z).imag]
+
+        m = self.wp_map
+        return {
+            "alpha": pair(self.alpha),
             "norm": self.norm,
-            "wp_map": self.wp_map.to_text(),
-            "wp_prime_factor": self.wp_prime_factor.to_text(),
+            "scale": pair(1.0 / self.alpha**2),
+            "poles": [pair(q) for q in m.poles],
+            "g2": pair(m.g2),
+            "g3": pair(m.g3),
+            "residual": self.residual,
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -93,229 +153,101 @@ class DiscReport:
 
 
 # ---------------------------------------------------------------------------
-# Fitting
+# Multiplier maps
 # ---------------------------------------------------------------------------
 
 
-def _sample_set(lat: Lattice, alpha: complex, base_count: int, offset: float) -> list[complex]:
-    """base_count points on two small circles around the origin, each with its
-    two period translates appended.
+def _kernel(lat: Lattice, matrix: tuple[int, int, int, int]) -> np.ndarray:
+    """The N points of K = alpha^-1 L / L, 0 first, as complex numbers.
 
-    Circles do two jobs at once.  wp(z) is approximately z^-2 there, so the
-    sampled wp values trace near-circles in the plane, which keeps the power
-    basis of the rational fit well conditioned even at high degree (scattered
-    cell-wide samples cluster after rescaling and make degree >= 10 fits
-    numerically rank-deficient).  The translates leave wp unchanged but shift
-    alpha*z by alpha*omega, so for a non-multiplier the fit targets clash on
-    equal inputs: the ellipticity criterion itself, and the reason the
-    negative branch of the dichotomy fails loudly instead of being masked by
-    local rational approximation.  Rejected are points whose double or
-    alpha-image lands near a pole (wp' zeros and pole blowups).  Candidates
-    j = 0, 1, ... are screened a block at a time and accepted in order.
+    With alpha*omega1 = p omega1 + r omega2 and alpha*omega2 = q omega1 +
+    s omega2, K is M^-1 Z^2 / Z^2 for M = (p q; r s), in bijection with
+    Z^2 / M Z^2.  Column operations bring M to the Hermite form (g 0; h N/g),
+    g = gcd(p, q), whose cosets are represented by (i, j) with 0 <= i < g,
+    0 <= j < N/g whatever h is; Q = M^-1 (i, j) then has exact integer
+    numerators over N, reduced into [0, N).
+    """
+    p, q, r, s = matrix
+    n = p * s - q * r
+    g = math.gcd(p, q)
+    i, j = (k.ravel() for k in np.meshgrid(np.arange(g), np.arange(n // g), indexing="ij"))
+    u = (s * i - q * j) % n
+    v = (p * j - r * i) % n
+    return (u * lat.omega1 + v * lat.omega2) / n
+
+
+def _alpha_matrix(lat: Lattice, alpha: complex) -> tuple[int, int, int, int]:
+    """Integer (p, q, r, s) with alpha*omega1 = p omega1 + r omega2 and
+    alpha*omega2 = q omega1 + s omega2, or FitFailure carrying the
+    containment defect: the largest distance of the coordinates of
+    alpha*omega1 and alpha*omega2 from integers.
+    """
+    images = [alpha * lat.omega1, alpha * lat.omega2]
+    coords = [_integer_coords(lat, w, CONTAINMENT_TOL) for w in images]
+    if None in coords:
+        defect = max(abs(c - round(c)) for w in images for c in lat.coords(w))
+        raise FitFailure(f"alpha={alpha!r} does not map the lattice into itself "
+                         f"(containment defect {defect:.3e})", defect)
+    (p, r), (q, s) = coords
+    return p, q, r, s
+
+
+def _sample_set(lat: Lattice, alpha: complex, count: int) -> np.ndarray:
+    """count points on two small circles around the origin whose alpha-images
+    keep IMAGE_POLE_MARGIN from the lattice, so that wp(z) keeps away from
+    the maps' poles, the values of wp on the kernel.  Candidates j = 0, 1,
+    ... are screened a block at a time and accepted in order.
     """
     lam = shortest_vector(lat)
-    last = 300 * base_count + 1000  # the last candidate tried before giving up
     pts: list[complex] = []
-    start = 0
-    while len(pts) < base_count:
-        if start > last:
-            raise SingularSample("sample rejection loop did not terminate")
-        stop = min(start + 2 * (base_count - len(pts)) + 8, last + 1)
-        cand = []
-        for j in range(start, stop):
-            theta = 0.37 + (j + offset) * GOLDEN_ANGLE
-            r = SAMPLE_RADII[j % 2] * lam
-            cand.append(complex(r * math.cos(theta), r * math.sin(theta)))
-        start = stop
-        # products in Python arithmetic, which numpy's vectorised complex
-        # multiply does not match bit for bit: the screen then accepts
-        # exactly the points that pole_distance would
-        doubled = pole_distance_many([2.0 * z for z in cand], lat)
-        image = pole_distance_many([alpha * z for z in cand], lat)
-        accept = (doubled >= HALF_PERIOD_MARGIN * lam) & (image >= IMAGE_POLE_MARGIN * lam)
-        pts.extend(z for z, ok in zip(cand, accept) if ok)
-    del pts[base_count:]
-    out: list[complex] = []
-    for z in pts:
-        out.extend((z, z + lat.omega1, z + lat.omega2))
-    return out
+    for start in range(0, 300 * count, 2 * count):
+        j = np.arange(start, start + 2 * count)
+        cand = np.where(j % 2, SAMPLE_RADII[1], SAMPLE_RADII[0]) * lam * np.exp(
+            1j * (0.37 + j * GOLDEN_ANGLE))
+        pts.extend(cand[pole_distance_many(alpha * cand, lat) >= IMAGE_POLE_MARGIN * lam])
+        if len(pts) >= count:
+            return np.array(pts[:count])
+    raise SingularSample("no sample point keeps its alpha-image away from the lattice")
 
 
-def _fit_x_rational(xs, ws, num_deg: int, den_deg: int):
-    """Solve P(x_j) - w_j Q(x_j) = 0 in total least squares.
-
-    The x-values are recentered and rescaled before building the power basis
-    (monomials on a far-from-origin cluster are numerically degenerate), the
-    columns are scaled to unit max modulus, and the smallest right singular
-    vector gives the coefficients, mapped back to plain monomials at the end.
-    """
-    xs = np.asarray(xs)
-    ws = np.asarray(ws)
-    center = np.mean(xs)
-    half = max(np.max(np.abs(xs - center)), 1e-30)
-    xi = (xs - center) / half
-    powers = xi[:, None] ** np.arange(max(num_deg, den_deg) + 1)
-    m = np.hstack([powers[:, : num_deg + 1], -ws[:, None] * powers[:, : den_deg + 1]])
-    scale = np.max(np.abs(m), axis=0)
-    scale[scale == 0] = 1.0
-    _, _, vh = np.linalg.svd(m / scale, full_matrices=False)
-    coeff = vh[-1].conj() / scale
-
-    def to_monomial(cx: np.ndarray) -> np.ndarray:
-        lin = np.array([-center / half, 1.0 / half], dtype=complex)
-        out = np.array([cx[-1]], dtype=complex)
-        for k in range(len(cx) - 2, -1, -1):
-            out = np.convolve(out, lin)
-            out[0] += cx[k]
-        return out
-
-    return to_monomial(coeff[: num_deg + 1]), to_monomial(coeff[num_deg + 1 :])
+def _rational_residual(approx, target) -> float:
+    """Worst relative deviation |approx - target| / (1 + |target|); NaN counts as inf."""
+    dev = np.abs(approx - target) / (1.0 + np.abs(target))
+    return math.inf if np.isnan(dev).any() else float(np.max(dev))
 
 
-def _prune_trailing(p: np.ndarray, x_scale: float) -> np.ndarray:
-    """Drop top-degree coefficients whose terms are noise on the sampled range.
+def fit_multiplier_maps(lat: Lattice, witness: CMWitness) -> CMRationalPair:
+    """The maps carrying (wp(z), wp'(z)) to (wp(alpha z), wp'(alpha z)), from
+    the kernel of alpha.
 
-    Degree decisions must weigh |c_d| * x_scale^d, not raw coefficients: in
-    high-degree maps the essential leading coefficient can sit ten orders
-    below the largest interior one and still dominate the value where the map
-    is used.  Only the trailing end is touched.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    terms = np.abs(p) * x_scale ** np.arange(len(p))
-    top = float(np.max(terms))
-    if top == 0.0:
-        return np.zeros(1, dtype=complex)
-    i = len(p) - 1
-    while i > 0 and terms[i] < PRUNE_REL * top:
-        i -= 1
-    return p[: i + 1]
-
-
-def _prune_and_normalize(num: np.ndarray, den: np.ndarray, x_scale: float):
-    num = _prune_trailing(num, x_scale)
-    den = _prune_trailing(den, x_scale)
-    if not np.any(den):
-        return None
-    lead = den[-1]
-    return num / lead, den / lead
-
-
-def _rational_residual(num, den, xs, ws, cond_cap: float = 1e7) -> float:
-    """Worst relative deviation of num/den from the targets on (xs, ws).
-
-    Fitted maps of norm >= 9 carry coefficients so large that their expanded
-    form loses more digits to Horner cancellation near its roots than any fit
-    tolerance, so points beyond cond_cap are not counted as evidence either
-    way.  A genuine non-multiplier still fails: its period-translate clash is
-    order one at every point, conditioned or not.  If too few points remain
-    evaluable, or a kept point deviates by NaN (a map or target that is not
-    finite), the fit is rejected outright.
-    """
-    xs = np.asarray(xs, dtype=complex)
-    ws = np.asarray(ws, dtype=complex)
-    nv, dv = _peval(num, xs), _peval(den, xs)
-    cond = np.maximum(_condition(num, xs, nv), _condition(den, xs, dv))
-    kept = ~(np.abs(dv) < DENOM_GUARD) & ~(cond > cond_cap)
-    if np.count_nonzero(kept) < max(4, len(xs) // 6):
-        return math.inf
-    w = ws[kept]
-    dev = np.abs(nv[kept] / dv[kept] - w) / (1.0 + np.abs(w))
-    if np.isnan(dev).any():
-        return math.inf
-    return float(np.max(dev))
-
-
-def _derivative_factor(num: np.ndarray, den: np.ndarray, alpha: complex):
-    """(p/q)' / alpha as a numerator/denominator pair: ((p'q - pq')/alpha, q^2)."""
-    dp = num[1:] * np.arange(1, len(num)) if len(num) > 1 else np.zeros(1, dtype=complex)
-    dq = den[1:] * np.arange(1, len(den)) if len(den) > 1 else np.zeros(1, dtype=complex)
-    s_num = _padd(np.convolve(dp, den), -np.convolve(num, dq)) / alpha
-    return s_num, np.convolve(den, den)
-
-
-def _eval_samples(lat: Lattice, alpha: complex, zs):
-    """wp and wp' at the samples z and at their images alpha*z."""
-    zs = np.asarray(zs)
-    here, there = wp_many(zs, lat), wp_many(alpha * zs, lat)
-    return here.wp, here.wp1, there.wp, there.wp1
-
-
-def fit_multiplier_maps(
-    lat: Lattice,
-    witness: CMWitness,
-    samples: int | None = None,
-    tol: float = 1e-9,
-) -> CMRationalPair:
-    """Fit the rational maps carrying (wp, wp') to their values at alpha*z.
-
-    Degree bound: the index of alpha*lattice inside the lattice equals the
-    norm N of alpha, which caps the numerator degree of the even map at N and
-    its denominator at N - 1; the odd factor needs at most 2N - 2 on both
-    sides.  If the bound is too small the held-out validation fails and the
-    degrees are retried at 2N and 4N, those not above DEGREE_CAP.  When alpha
-    is not a multiplier at all, the translate clash keeps every residual at
-    order one and FitFailure carries the best residual seen.  A norm above
-    DEGREE_CAP fails at once: the fit's matrices grow like N^2, its time like
-    N^3.
+    The kernel size N is the determinant of alpha's integer matrix.  N above
+    MAX_NORM raises FitFailure at once, with an infinite residual.  A trial
+    alpha that does not carry the lattice into itself raises FitFailure
+    carrying its containment defect.  Otherwise the built maps are checked
+    against wp(alpha z) and wp'(alpha z) at VALIDATION_POINTS samples, and a
+    residual of VALIDATION_TOL or more (NaN as inf) raises FitFailure
+    carrying it.
     """
     lat = ensure_reduced(lat)
     alpha = witness.alpha
-    base_n = witness.norm if witness.norm and witness.norm > 0 else max(
-        1, round(abs(alpha) ** 2)
-    )
-    if base_n > DEGREE_CAP:
-        raise FitFailure(f"norm {base_n} of alpha={alpha!r} exceeds the degree cap {DEGREE_CAP}",
-                         math.inf)
-    if samples is not None and samples < 4 * base_n + 4:
-        raise ValueError(f"samples must be >= {4 * base_n + 4}")
-    best_residual = math.inf
-    for n_deg in (base_n, 2 * base_n, 4 * base_n):
-        if n_deg > DEGREE_CAP:
-            break
-        unknowns = 2 * n_deg + 2
-        base_count = max(2 * unknowns, 12, samples or 0)
-        z_fit = _sample_set(lat, alpha, base_count, 0.0)
-        z_hold = _sample_set(lat, alpha, 2 * base_count, 1000.25)
-        xf, vf, wxf, wvf = _eval_samples(lat, alpha, z_fit)
-        xh, vh, wxh, wvh = _eval_samples(lat, alpha, z_hold)
-
-        x_scale = float(np.max(np.abs(xf)))
-        r_fit = _fit_x_rational(xf, wxf, n_deg, max(n_deg - 1, 0))
-        r_norm = _prune_and_normalize(*r_fit, x_scale)
-        if r_norm is None:
-            continue
-        r_res = _rational_residual(*r_norm, xh, wxh)
-
-        s_deg = max(2 * n_deg - 2, 0)
-        s_fit = _fit_x_rational(xf, wvf / vf, s_deg, s_deg)
-        s_norm = _prune_and_normalize(*s_fit, x_scale)
-        s_res = math.inf if s_norm is None else _rational_residual(*s_norm, xh, wvh / vh)
-        if s_res >= tol and r_res < tol:
-            # The odd factor equals R'(X)/alpha exactly (differentiate
-            # wp(alpha z) = R(wp(z))).  The direct fit can be defeated by
-            # representational slack: the minimal degrees of the factor depend
-            # on the pole multiplicities of R, and any extra degree admits a
-            # whole family of common-factor solutions whose spurious pole/zero
-            # pairs wreck held-out validation.  The derivative form has no
-            # free parameters, so validate it on the same held-out set.
-            s_norm = _prune_and_normalize(*_derivative_factor(*r_norm, alpha), x_scale)
-            if s_norm is not None:
-                s_res = _rational_residual(*s_norm, xh, wvh / vh)
-
-        residual = max(r_res, s_res)
-        best_residual = min(best_residual, residual)
-        if residual < tol:
-            inv = invariants_qseries(lat)
-            return CMRationalPair(
-                alpha=alpha,
-                wp_map=RationalMap.from_x_rational(inv, *r_norm),
-                wp_prime_factor=RationalMap.from_x_rational(inv, *s_norm),
-                norm=base_n,
-            )
-    raise FitFailure(
-        f"held-out residual {best_residual:.3e} exceeds tol {tol:.1e} for alpha={alpha!r}",
-        best_residual,
-    )
+    matrix = _alpha_matrix(lat, alpha)
+    norm = matrix[0] * matrix[3] - matrix[1] * matrix[2]
+    if norm > MAX_NORM:
+        raise FitFailure(f"norm {norm} of alpha={alpha!r} exceeds {MAX_NORM}", math.inf)
+    zs = _sample_set(lat, alpha, VALIDATION_POINTS)
+    kernel = _kernel(lat, matrix)[1:]
+    values = wp_many(np.concatenate([kernel, zs, alpha * zs]), lat)
+    k, m = len(kernel), len(zs)
+    x, v = values.wp[k : k + m], values.wp1[k : k + m]
+    inv = invariants_qseries(lat)
+    wp_map = PoleSumMap(alpha, values.wp[:k], inv.g2, inv.g3)
+    factor = PoleSumMap(alpha, values.wp[:k], inv.g2, inv.g3, odd=True)
+    residual = max(_rational_residual(wp_map(x), values.wp[k + m :]),
+                   _rational_residual(v * factor(x), values.wp1[k + m :]))
+    if not residual < VALIDATION_TOL:
+        raise FitFailure(f"held-out residual {residual:.3e} exceeds tol {VALIDATION_TOL:.1e} "
+                         f"for alpha={alpha!r}", residual)
+    return CMRationalPair(alpha, wp_map, factor, norm, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +270,8 @@ _DISC_GUARDS = (
 def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """disc_eval at every node (x, y) of the grid xs x ys.
 
-    Each x and each y is evaluated once, and the fitted maps are applied once
-    per y.  Returns (status, value), both of shape (len(xs), len(ys)): status
+    Each x and each y is evaluated once, and the multiplier maps are applied
+    once per y.  Returns (status, value), both of shape (len(xs), len(ys)): status
     is the index in _DISC_GUARDS of the first guard a node fails, 0 where it
     passes them all, and value is NaN wherever status is not 0.
     """
@@ -379,7 +311,7 @@ def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def disc_eval(de: DiscExtension, x: float, y: float) -> complex:
-    """wp(x + alpha*y) using only real-argument evaluations and the fitted maps:
+    """wp(x + alpha*y) using only real-argument evaluations and the multiplier maps:
 
         wp(x + alpha y) = ((wp'(x) - S) / (wp(x) - R))^2 / 4 - wp(x) - R,
 

@@ -30,9 +30,11 @@ class RootFindingFailure(WeierpError):
 
 
 class FitFailure(WeierpError):
-    """Rational-map fit did not validate on held-out samples.
+    """Multiplier maps could not be built, or did not validate on held-out samples.
 
-    Carries the held-out residual that triggered the failure.
+    Carries the residual that triggered the failure: the held-out validation
+    residual, the containment defect when alpha does not map the lattice
+    into itself, or inf when the norm of alpha is above the bound.
     """
 
     def __init__(self, message: str, residual: float):
@@ -41,4 +43,4 @@ class FitFailure(WeierpError):
 
 
 class SingularSample(WeierpError):
-    """Sampling for the rational-map fit kept hitting poles or wp' zeros."""
+    """Sampling for the multiplier maps' validation kept hitting poles."""

@@ -1,14 +1,13 @@
 """Algebraic identities of wp as executable verifiers and rational maps.
 
 The function field of a lattice is generated by (wp, wp') subject to the
-single relation Y^2 = F(X) = 4X^3 - g2 X - g3, so every map here is a
-bivariate rational function reduced to Y-degree at most one.  Polynomials are
-dense ascending complex coefficient arrays.
+single relation Y^2 = F(X) = 4X^3 - g2 X - g3.  The maps here are even, so
+after reducing Y^2 to F(X) they are rational in X = wp alone.  Polynomials
+are dense ascending complex coefficient arrays.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,38 +78,23 @@ def curve_polynomial(inv: Invariants) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rational maps in (X, Y) modulo Y^2 = F(X)
+# Rational maps in X
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RationalMap:
-    """num/den with each part stored as even (X-only) plus Y * odd (X-only)."""
+    """num(X) / den(X), both trimmed of zero top coefficients."""
 
-    invariants: Invariants
-    num_even: np.ndarray
-    num_odd: np.ndarray
-    den_even: np.ndarray
-    den_odd: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
 
-    @classmethod
-    def from_x_rational(cls, inv: Invariants, num: np.ndarray, den: np.ndarray) -> RationalMap:
-        zero = np.zeros(1, dtype=complex)
-        return cls(inv, _trim(num), zero, _trim(den), zero.copy())
+    def __post_init__(self):
+        object.__setattr__(self, "num", _trim(self.num))
+        object.__setattr__(self, "den", _trim(self.den))
 
-    @classmethod
-    def from_y_grid(cls, inv: Invariants, num_grid, den_grid) -> RationalMap:
-        """Build from coefficient grids grid[j][k] * Y^j X^k, folding Y^2 -> F."""
-        ne, no = _fold_y(inv, num_grid)
-        de, do = _fold_y(inv, den_grid)
-        if not np.any(de) and not np.any(do):
-            raise ValueError("denominator is identically zero")
-        return cls(inv, ne, no, de, do)
-
-    def __call__(self, x: complex, y: complex = 0j) -> complex:
-        num = _peval(self.num_even, x) + y * _peval(self.num_odd, x)
-        den = _peval(self.den_even, x) + y * _peval(self.den_odd, x)
-        return num / den
+    def __call__(self, x: complex) -> complex:
+        return _peval(self.num, x) / _peval(self.den, x)
 
     def condition(self, x: complex) -> float:
         """Horner cancellation factor at x: term magnitude over value magnitude.
@@ -121,56 +105,9 @@ class RationalMap:
         reject points where condition * 1e-16 exceeds their tolerance.
         """
         worst = 1.0
-        for p in (self.num_even, self.den_even):
+        for p in (self.num, self.den):
             worst = max(worst, float(_condition(p, x, _peval(p, x))))
         return worst
-
-    def is_x_only(self) -> bool:
-        return not np.any(self.num_odd) and not np.any(self.den_odd)
-
-    def to_text(self) -> str:
-        def enc(p: np.ndarray):
-            return [[c.real, c.imag] for c in p]
-
-        payload = {
-            "g2": [self.invariants.g2.real, self.invariants.g2.imag],
-            "g3": [self.invariants.g3.real, self.invariants.g3.imag],
-            "num_even": enc(self.num_even),
-            "num_odd": enc(self.num_odd),
-            "den_even": enc(self.den_even),
-            "den_odd": enc(self.den_odd),
-            "num_degree": len(_trim(self.num_even)) - 1,
-            "den_degree": len(_trim(self.den_even)) - 1,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_text(cls, text: str) -> RationalMap:
-        d = json.loads(text)
-
-        def dec(rows) -> np.ndarray:
-            return np.array([complex(r, i) for r, i in rows], dtype=complex)
-
-        inv = Invariants(complex(*d["g2"]), complex(*d["g3"]))
-        return cls(inv, dec(d["num_even"]), dec(d["num_odd"]),
-                   dec(d["den_even"]), dec(d["den_odd"]))
-
-
-def _fold_y(inv: Invariants, grid) -> tuple[np.ndarray, np.ndarray]:
-    rows = [np.atleast_1d(np.asarray(r, dtype=complex)) for r in grid]
-    f = curve_polynomial(inv)
-    even = np.zeros(1, dtype=complex)
-    odd = np.zeros(1, dtype=complex)
-    # Y^j = F^(j//2) * Y^(j%2)
-    for j, row in enumerate(rows):
-        reduced = row
-        for _ in range(j // 2):
-            reduced = _pmul(reduced, f)
-        if j % 2 == 0:
-            even = _padd(even, reduced)
-        else:
-            odd = _padd(odd, reduced)
-    return _trim(even), _trim(odd)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +237,7 @@ def multiplication_by_n(n: int, inv: Invariants) -> RationalMap:
     else:
         den = _pmul(f4, pn2)
         num = _padd(np.concatenate(([0j], den)), -cross)
-    return RationalMap.from_x_rational(inv, num, den)
+    return RationalMap(num, den)
 
 
 def duplication_rational_map(inv: Invariants) -> RationalMap:
@@ -312,7 +249,7 @@ def duplication_rational_map(inv: Invariants) -> RationalMap:
     """
     g2, g3 = inv.g2, inv.g3
     num = np.array([g2 * g2 / 16.0, 2.0 * g3, g2 / 2.0, 0.0, 1.0], dtype=complex)
-    return RationalMap.from_x_rational(inv, num, curve_polynomial(inv))
+    return RationalMap(num, curve_polynomial(inv))
 
 
 def division_values(n: int, target: complex, inv: Invariants) -> np.ndarray:
@@ -325,7 +262,7 @@ def division_values(n: int, target: complex, inv: Invariants) -> np.ndarray:
     if not 2 <= n <= 6:
         raise ValueError("n must be in [2, 6]")
     mp = multiplication_by_n(n, inv)
-    poly = _padd(mp.num_even, -target * np.asarray(mp.den_even))
+    poly = _padd(mp.num, -target * mp.den)
     poly = _trim(poly)
     if len(poly) != n * n + 1:
         raise RootFindingFailure("fiber polynomial has unexpected degree")

@@ -12,7 +12,7 @@ accurate as square ones.
 
 wp_many is the array-in, array-out twin of the scalar series, with the same
 reduction, stop rule and error bound per point; callers that hold many points
-of one lattice (the CM fit and the disc grid) use it.  The scalar wp_eval,
+of one lattice (the CM maps and the disc grid) use it.  The scalar wp_eval,
 wp_prime_eval and wp_second_eval stay for callers that take one point at a
 time: numpy's overhead per call would make a one-point array evaluation
 slower than the plain complex arithmetic.  pole_distance stays beside

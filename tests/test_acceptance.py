@@ -191,18 +191,16 @@ def test_criterion_05_multiplication_and_division(reference_lattices, square):
 
 
 def test_criterion_06_disc_pipeline_end_to_end(capsys):
-    with criterion(6, "disc reconstruction via CLI, 1e-8, fitted map -X"):
+    with criterion(6, "disc reconstruction via CLI, 1e-8, map -X"):
         t0 = time.monotonic()
         code = main(["disc", "--tau", "i", "--interval", "0.125", "0.375", "--grid", "20"])
         out = capsys.readouterr().out
         assert code == 0
         m = json.loads(out.split(MACHINE_SENTINEL)[1])
         assert m["max_abs_error"] < 1e-8
-        num = m["wp_map"]["num_even"]
-        den = m["wp_map"]["den_even"]
-        assert abs(complex(*num[0])) < 1e-10
-        assert abs(complex(*num[1]) + 1.0) < 1e-10
-        assert abs(complex(*den[0]) - 1.0) < 1e-10
+        # the kernel of i is {0}: wp_map is alpha^-2 X = -X with no pole terms
+        assert m["maps"]["poles"] == []
+        assert complex(*m["maps"]["scale"]) == -1.0
         code = main(["disc", "--tau", "e^{ipi/3}", "--grid", "20"])
         out = capsys.readouterr().out
         assert code == 0

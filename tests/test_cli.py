@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -144,8 +145,7 @@ def test_disc_square(capsys):
     m = machine_block(out)
     assert m["max_abs_error"] < 1e-8
     assert m["passed"] is True
-    num = m["wp_map"]["num_even"]
-    assert abs(num[0][0]) < 1e-10 and abs(num[1][0] + 1.0) < 1e-10
+    assert m["maps"]["poles"] == [] and complex(*m["maps"]["scale"]) == -1.0
     assert m["cm"]["min_poly"] == [1, 0, 1]
 
 
@@ -163,6 +163,29 @@ def test_disc_tall_cm_lattice(capsys):
     m = machine_block(out)
     assert m["cm"]["min_poly"] == [1, 0, 64]
     assert m["max_abs_error"] < 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", ["12i", "13i", "30i"])
+def test_disc_high_norm_cm_lattice(tau, capsys):
+    # norms 144, 169 and 900: exact kernel maps, and no numpy warning leaks
+    code, out = run_cli(capsys, "disc", "--tau", tau)
+    assert code == 0
+    m = machine_block(out)
+    assert m["cm"]["norm"] == int(tau[:-1]) ** 2
+    assert len(m["maps"]["poles"]) == m["cm"]["norm"] - 1
+    assert m["max_abs_error"] < 1e-8
+
+
+def test_disc_norm_above_bound_exits_1(capsys):
+    # tau = 1000i is recognised (norm 10^6) and refused before any evaluation
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "disc", "--tau", "1000i")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    m = machine_block(out)
+    assert m["fit_failed"] is True and m["fit_residual"] == math.inf
+    assert "multiplier maps failed: norm 1000000" in out
 
 
 def test_disc_no_cm_exit_4(capsys):

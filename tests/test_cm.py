@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from weierp.cm import (
     CMRationalPair,
     DiscExtension,
+    PoleSumMap,
     _disc_grid,
     _rational_residual,
     disc_eval,
@@ -15,10 +17,10 @@ from weierp.cm import (
     verify_disc_extension,
 )
 from weierp.errors import DegenerateAddition, FitFailure, PoleError
-from weierp.identities import RationalMap, multiplication_by_n
+from weierp.identities import multiplication_by_n
 from weierp.lattice import CMWitness, detect_cm, invariants_qseries, reduce_generators
 from weierp.verify import sample_cell_points
-from weierp.wp import wp_eval, wp_many, wp_prime_eval
+from weierp.wp import pole_distance_many, wp_eval, wp_many, wp_prime_eval
 
 INTERVAL = (0.125, 0.375)
 
@@ -34,18 +36,18 @@ def hex_pair(hexagonal):
 
 
 # ---------------------------------------------------------------------------
-# Map fitting
+# Multiplier maps
 # ---------------------------------------------------------------------------
 
 
 def test_square_maps_are_quarter_turn(square_pair):
-    # wp(iz) = -wp(z): map is -X; differentiating gives wp'(iz) = i wp'(z)
-    num, den = square_pair.wp_map.num_even, square_pair.wp_map.den_even
-    assert len(num) == 2 and len(den) == 1
-    assert abs(num[0]) < 1e-10 and abs(num[1] + 1.0) < 1e-10
-    assert abs(den[0] - 1.0) < 1e-12
-    s = square_pair.wp_prime_factor
-    assert len(s.num_even) == 1 and abs(s.num_even[0] - 1j) < 1e-10
+    # wp(iz) = -wp(z): the kernel of i is {0}, so the map is alpha^-2 X = -X
+    # with no poles; differentiating gives wp'(iz) = i wp'(z)
+    assert square_pair.alpha == 1j
+    assert len(square_pair.wp_map.poles) == 0
+    xs = np.array([3.5 + 0.25j, -12.0 + 0j, 0.125 - 7.0j])
+    assert np.array_equal(square_pair.wp_map(xs), -xs)
+    assert np.array_equal(square_pair.wp_prime_factor(xs), np.full(3, 1j))
 
 
 def test_hex_map_is_homothety(hexagonal):
@@ -53,9 +55,8 @@ def test_hex_map_is_homothety(hexagonal):
     # wp(a z; a L) = a^-2 wp(z; L) forces wp_map = a^-2 X = e^{2 pi i/3} X
     alpha = cmath.exp(2j * math.pi / 3)
     pair = fit_multiplier_maps(hexagonal, CMWitness(alpha, None, 1))
-    num = pair.wp_map.num_even
-    assert len(num) == 2
-    assert abs(num[1] - alpha) < 1e-10
+    assert pair.norm == 1 and len(pair.wp_map.poles) == 0
+    assert abs(complex(*pair.payload()["scale"]) - alpha) < 1e-15
     # numeric cross-check against direct evaluation
     z = 0.21 + 0.13j
     assert abs(pair.wp_map(wp_eval(z, hexagonal).value)
@@ -63,19 +64,21 @@ def test_hex_map_is_homothety(hexagonal):
 
 
 def test_norm_three_multiplier_pipeline():
-    # tau = i*sqrt(3): minimal polynomial tau^2 + 3, alpha = i*sqrt(3), norm 3
+    # tau = i*sqrt(3): minimal polynomial tau^2 + 3, alpha = i*sqrt(3), norm 3;
+    # the kernel is {0, Q, -Q}, so the map has one distinct pole wp(Q)
     lat = reduce_generators(1.0, complex(0.0, math.sqrt(3.0)))
     w = detect_cm(lat)
     assert w.min_poly == (1, 0, 3) and w.norm == 3
     pair = fit_multiplier_maps(lat, w)
-    assert len(pair.wp_map.num_even) - 1 == 3
-    assert len(pair.wp_map.den_even) - 1 == 2
+    poles = pair.wp_map.poles
+    assert pair.norm == 3 and len(poles) == 2
+    assert abs(poles[0] - poles[1]) < 1e-13 * abs(poles[0])
     de = DiscExtension(lat, pair, (0.125, 0.375))
     assert verify_disc_extension(de, 8, 1e-8).max_abs_error < 1e-9
 
 
 def test_integer_multiplier_matches_multiplication_map(square, rng):
-    pair = fit_multiplier_maps(square, CMWitness(2.0 + 0j, None, 4), tol=1e-6)
+    pair = fit_multiplier_maps(square, CMWitness(2.0 + 0j, None, 4))
     m2 = multiplication_by_n(2, invariants_qseries(square))
     for z in sample_cell_points(square, rng, 10, margin=0.15, multiples=(2,)):
         x = wp_eval(z, square).value
@@ -83,10 +86,10 @@ def test_integer_multiplier_matches_multiplication_map(square, rng):
 
 
 def test_norm_nine_integer_multiplier(square):
-    # alpha = 3 needs numerator degree 9 and an odd factor of degree 16; the
-    # odd factor's minimal degrees are lower, so the fit falls back to the
-    # derivative identity wp'(3z) = R'(wp) wp' / 3
-    pair = fit_multiplier_maps(square, CMWitness(3.0 + 0j, None, 9), tol=1e-7)
+    # alpha = 3: the kernel is the 3-torsion, eight poles in four +-Q pairs,
+    # and the odd factor is R'(wp) / 3
+    pair = fit_multiplier_maps(square, CMWitness(3.0 + 0j, None, 9))
+    assert pair.norm == 9 and len(pair.wp_map.poles) == 8
     m3 = multiplication_by_n(3, invariants_qseries(square))
     for z in (0.21 + 0.13j, 0.17 + 0.29j):
         x = wp_eval(z, square).value
@@ -107,9 +110,84 @@ def test_fit_generalizes_to_fresh_points(square, square_pair, rng):
         assert abs(v * square_pair.wp_prime_factor(x) - wv) < 10 * tol * (1 + abs(wv))
 
 
-def test_degree_minimality_after_pruning(square_pair):
-    assert len(square_pair.wp_map.num_even) - 1 == 1
-    assert len(square_pair.wp_map.den_even) - 1 == 0
+# the ten CM orders of the benchmark's cm_disc workload: (tau, norm of a*tau)
+CM_ORDERS = (
+    (1j, 1), (complex(0.5, math.sqrt(3.0) / 2.0), 1), (2j, 4), (1j * math.sqrt(2.0), 2),
+    (complex(0.5, math.sqrt(7.0) / 2.0), 2), (3j, 9), (complex(0.5, math.sqrt(11.0) / 2.0), 3),
+    (complex(0.5, math.sqrt(19.0) / 2.0), 5), (6j, 36), (complex(0.5, math.sqrt(163.0) / 2.0), 41),
+)
+
+
+def test_kernel_size_equals_norm(rng):
+    # the map has one pole per nonzero kernel point: N - 1 for a multiplier
+    # of norm N, in a rotated, scaled and sheared basis of each order
+    for tau, norm in CM_ORDERS:
+        rot = 10.0 ** rng.uniform(-1.0, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        k = int(rng.integers(-3, 4))
+        lat = reduce_generators(rot * (tau + k), rot * (2 * tau + 2 * k + 1))
+        witness = detect_cm(lat)
+        assert witness.norm == norm
+        pair = fit_multiplier_maps(lat, witness)
+        assert pair.norm == norm and len(pair.wp_map.poles) == norm - 1
+        assert pair.residual < 1e-9
+
+
+@pytest.mark.parametrize("case", ["2+i on the square lattice", "(-1+sqrt-23)/4"])
+def test_cyclic_kernel_maps_match_wp(case, square, rng):
+    # kernels whose points mix both basis directions: alpha = 2+i (norm 5),
+    # and alpha = 2 tau for the form (2, 1, 3), whose leading coefficient
+    # is not 1 (norm 6)
+    if case.startswith("2+i"):
+        lat, witness = square, CMWitness(2.0 + 1j, None, 5)
+    else:
+        lat = reduce_generators(1.0, complex(-0.25, math.sqrt(23.0) / 4.0))
+        witness = detect_cm(lat)
+        assert witness.min_poly == (2, 1, 3)
+    pair = fit_multiplier_maps(lat, witness)
+    assert pair.norm == witness.norm and len(pair.wp_map.poles) == witness.norm - 1
+    zs = rng.uniform(0.1, 0.45, 50) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 50))
+    zs = zs[pole_distance_many(witness.alpha * zs, lat) > 0.05]
+    here, there = wp_many(zs, lat), wp_many(witness.alpha * zs, lat)
+    assert np.all(np.abs(pair.wp_map(here.wp) - there.wp) < 1e-10 * (1 + np.abs(there.wp)))
+    got = here.wp1 * pair.wp_prime_factor(here.wp)
+    assert np.all(np.abs(got - there.wp1) < 1e-10 * (1 + np.abs(there.wp1)))
+
+
+def test_fit_refuses_norm_above_degree_cap():
+    # the maps of a multiplier of norm N have degree N, capped at MAX_NORM:
+    # 13i (norm 169) builds and passes the disc grid; 1000i (norm 10^6) is
+    # refused before anything is evaluated
+    lat = reduce_generators(1.0, 13j)
+    witness = detect_cm(lat)
+    assert witness.norm == 169
+    de = DiscExtension(lat, fit_multiplier_maps(lat, witness), INTERVAL)
+    assert verify_disc_extension(de, 20, 1e-8).max_abs_error < 1e-8
+    lat = reduce_generators(1.0, 1000j)
+    witness = detect_cm(lat)
+    assert witness.norm == 10**6
+    t0 = time.perf_counter()
+    with pytest.raises(FitFailure) as exc_info:
+        fit_multiplier_maps(lat, witness)
+    assert time.perf_counter() - t0 < 0.1
+    assert exc_info.value.residual == math.inf
+
+
+def test_norm_144_maps_match_wp(rng):
+    # tau = 12i (norm 144): both maps agree with wp(alpha z) and wp'(alpha z)
+    # at fresh points, not only at the validation samples.  The points are
+    # where the disc construction uses the maps, within 0.45 of the origin:
+    # deep in the tall cell wp(z) is within 1e-6 of -pi^2/3, and no function
+    # of wp(z) recovers wp(alpha z) from binary64 values there.
+    lat = reduce_generators(1.0, 12j)
+    witness = detect_cm(lat)
+    assert witness.norm == 144
+    pair = fit_multiplier_maps(lat, witness)
+    zs = rng.uniform(0.1, 0.45, 200) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+    zs = zs[pole_distance_many(witness.alpha * zs, lat) > 0.05]
+    here, there = wp_many(zs, lat), wp_many(witness.alpha * zs, lat)
+    assert np.all(np.abs(pair.wp_map(here.wp) - there.wp) < 1e-9 * (1 + np.abs(there.wp)))
+    got = here.wp1 * pair.wp_prime_factor(here.wp)
+    assert np.all(np.abs(got - there.wp1) < 1e-9 * (1 + np.abs(there.wp1)))
 
 
 def test_non_cm_lattice_fit_fails():
@@ -122,41 +200,13 @@ def test_non_cm_lattice_fit_fails():
         assert exc_info.value.residual > 1e-3
 
 
-def test_fit_refuses_norm_above_degree_cap():
-    # tau = 13i has CM with norm 169; a fit at that degree would need
-    # matrices of thousands of rows and maps beyond binary64
-    lat = reduce_generators(1.0, 13j)
-    witness = detect_cm(lat)
-    assert witness.norm == 169
-    with pytest.raises(FitFailure):
-        fit_multiplier_maps(lat, witness)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_fit_at_norm_144_fails_loudly():
-    # tau = 12i (norm 144): the odd factor's powers overflow binary64, and the
-    # NaN residual they lead to must fail the fit, not pass it
-    lat = reduce_generators(1.0, 12j)
-    witness = detect_cm(lat)
-    assert witness.norm == 144
-    with pytest.raises(FitFailure) as exc_info:
-        fit_multiplier_maps(lat, witness)
-    assert exc_info.value.residual == math.inf
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_rational_residual_nan_target_is_inf():
     xs = np.linspace(1.0, 2.0, 24) + 0.5j
     ws = 2.0 * xs
-    num, den = np.array([0.0, 2.0 + 0j]), np.array([1.0 + 0j])
-    assert _rational_residual(num, den, xs, ws) < 1e-15
+    assert _rational_residual(2.0 * xs, ws) == 0.0
     ws[5] = math.nan
-    assert _rational_residual(num, den, xs, ws) == math.inf
-
-
-def test_samples_argument_validated(square):
-    with pytest.raises(ValueError):
-        fit_multiplier_maps(square, CMWitness(1j, (1, 0, 1), 1), samples=3)
+    assert _rational_residual(2.0 * xs, ws) == math.inf
 
 
 def test_unplaceable_samples_raise(square):
@@ -169,11 +219,12 @@ def test_unplaceable_samples_raise(square):
 
 
 def test_pair_serialization(square_pair):
-    payload = json.loads(square_pair.to_text())
+    payload = json.loads(json.dumps(square_pair.payload()))
     assert payload["norm"] == 1
     assert payload["alpha"] == [0.0, 1.0]
-    inner = json.loads(payload["wp_map"])
-    assert inner["num_degree"] == 1
+    assert payload["scale"] == [-1.0, 0.0]
+    assert payload["poles"] == []
+    assert payload["residual"] == square_pair.residual < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +278,9 @@ def test_verify_disc_hexagonal(hexagonal, hex_pair):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_verify_disc_counts_nan_as_failure(square, square_pair):
-    nan_map = RationalMap.from_x_rational(square_pair.wp_map.invariants,
-                                          np.array([math.nan]), np.array([1.0]))
-    pair = CMRationalPair(square_pair.alpha, nan_map, square_pair.wp_prime_factor, 1)
+    m = square_pair.wp_map
+    nan_map = PoleSumMap(m.alpha, np.array([math.nan + 0j]), m.g2, m.g3)
+    pair = CMRationalPair(square_pair.alpha, nan_map, square_pair.wp_prime_factor, 1, 0.0)
     report = verify_disc_extension(DiscExtension(square, pair, INTERVAL), 4, 1e-8)
     assert report.max_abs_error == math.inf
     assert len(report.failures) == report.points_checked == 16
@@ -250,10 +301,7 @@ def test_grid_nesting_determinism(square, square_pair):
 
 def sign_pair(lat, sign):
     """alpha = +-1 with wp(alpha z) = wp(z) and wp'(alpha z) = alpha wp'(z)."""
-    inv = invariants_qseries(lat)
-    ident = RationalMap.from_x_rational(inv, np.array([0.0, 1.0]), np.array([1.0]))
-    factor = RationalMap.from_x_rational(inv, np.array([sign]), np.array([1.0]))
-    return CMRationalPair(sign + 0j, ident, factor, 1)
+    return fit_multiplier_maps(lat, CMWitness(sign + 0j, None, 1))
 
 
 def test_disc_eval_degenerate_guard(square):

@@ -10,8 +10,8 @@ Every run prints a human-readable summary followed by a machine-readable JSON
 block after a sentinel line.  Reports contain no timestamps and all sampling
 is seeded, so identical configurations produce byte-identical output.
 
-Exit codes: 0 success; 1 failed verification or multiplier maps; 2 degenerate
-lattice; 3 evaluation at a pole; 4 no complex multiplication with leading
+Exit codes: 0 success; 1 failed verification, multiplier maps or oracle
+check; 2 degenerate lattice; 3 evaluation at a pole; 4 no complex multiplication with leading
 coefficient within the bound.
 """
 
@@ -25,9 +25,10 @@ import sys
 
 from .cm import DiscExtension, fit_multiplier_maps, verify_disc_extension
 from .errors import DegenerateLattice, FitFailure, PoleError
-from .identities import diffeq_residual
+from .identities import _curve_residual
 from .lattice import (
     Lattice,
+    LatticeClass,
     classify_real,
     detect_cm,
     eisenstein_invariants,
@@ -35,7 +36,7 @@ from .lattice import (
     reduce_generators,
 )
 from .verify import run_all_suites
-from .wp import wp_direct_sum, wp_eval, wp_prime_eval, wp_second_eval
+from .wp import _wp_triple, wp_direct_sum
 
 MACHINE_SENTINEL = "--- machine ---"
 
@@ -146,10 +147,8 @@ def cmd_lattice(args) -> int:
 def cmd_eval(args) -> int:
     lat = _lattice_from_args(args)
     z = args.z
-    p = wp_eval(z, lat)
-    dp = wp_prime_eval(z, lat)
-    ddp = wp_second_eval(z, lat)
-    residual = diffeq_residual(z, lat)
+    p, dp, ddp = _wp_triple(z, lat)
+    residual = _curve_residual(p.value, dp.value, invariants_qseries(lat))
     lines = [
         "weierp eval report",
         f"z: {_fmt_complex(z)}",
@@ -167,6 +166,7 @@ def cmd_eval(args) -> int:
         "wp_second": _pair(ddp.value),
         "diffeq_residual": residual,
     }
+    code = EXIT_OK
     if args.oracle:
         o = wp_direct_sum(z, lat, args.radius)
         diff = abs(p.value - o.value)
@@ -174,8 +174,13 @@ def cmd_eval(args) -> int:
         machine["oracle"] = _pair(o.value)
         machine["oracle_radius"] = args.radius
         machine["oracle_diff"] = diff
+        bound = p.err_estimate + o.err_estimate
+        if not diff <= bound:
+            lines.append(f"oracle check failed: |diff| exceeds the sum of both error bounds {bound!r}")
+            machine["oracle_failed"] = True
+            code = EXIT_FAIL
     _emit(lines, machine, args.out)
-    return EXIT_OK
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -219,29 +224,29 @@ def cmd_verify(args) -> int:
 
 def cmd_disc(args) -> int:
     lat = _lattice_from_args(args)
+    cls = classify_real(lat)
+    holds = cls is not LatticeClass.NON_REAL
+    head = ["weierp disc report", f"class: {cls.value}"]
+    if not holds:
+        head.append("the lattice is not closed under complex conjugation: "
+                    "the paper's theorem does not apply")
+    base = {"command": "disc", "class": cls.value, "hypothesis_holds": holds}
     witness = detect_cm(lat, coeff_bound=args.coeff_bound, tol=args.tol)
     if witness is None:
         lines = [
-            "weierp disc report",
+            *head,
             f"no complex multiplication within coefficient bound {args.coeff_bound};",
             "interval data cannot reconstruct wp on a disc for this lattice",
         ]
-        machine = {
-            "command": "disc",
-            "cm": None,
-            "coeff_bound": args.coeff_bound,
-        }
+        machine = {**base, "cm": None, "coeff_bound": args.coeff_bound}
         _emit(lines, machine, args.out)
         return EXIT_NO_CM
     try:
         pair = fit_multiplier_maps(lat, witness)
     except FitFailure as exc:
-        lines = [
-            "weierp disc report",
-            f"multiplier maps failed: {exc}",
-        ]
+        lines = [*head, f"multiplier maps failed: {exc}"]
         machine = {
-            "command": "disc",
+            **base,
             "cm": {"alpha": _pair(witness.alpha), "norm": witness.norm},
             "fit_failed": True,
             "fit_residual": exc.residual,
@@ -252,7 +257,7 @@ def cmd_disc(args) -> int:
     report = verify_disc_extension(de, args.grid, args.tol_grid)
     ok = bool(report.max_abs_error <= args.tol_grid)
     lines = [
-        "weierp disc report",
+        *head,
         f"alpha: {_fmt_complex(pair.alpha)} (norm {pair.norm})",
         f"wp map: {_fmt_complex(1.0 / pair.alpha**2)} * (X + terms at "
         f"{len(pair.wp_map.poles)} kernel poles)",
@@ -264,7 +269,7 @@ def cmd_disc(args) -> int:
         f"status: {'PASS' if ok else 'FAIL'}",
     ]
     machine = {
-        "command": "disc",
+        **base,
         "cm": {
             "alpha": _pair(pair.alpha),
             "norm": pair.norm,

@@ -32,7 +32,7 @@ from .errors import DegenerateAddition, FitFailure, PoleError, SingularSample
 from .lattice import (
     CMWitness,
     Lattice,
-    _integer_coords,
+    _image_matrix,
     ensure_reduced,
     invariants_qseries,
     shortest_vector,
@@ -183,13 +183,12 @@ def _alpha_matrix(lat: Lattice, alpha: complex) -> tuple[int, int, int, int]:
     alpha*omega1 and alpha*omega2 from integers.
     """
     images = [alpha * lat.omega1, alpha * lat.omega2]
-    coords = [_integer_coords(lat, w, CONTAINMENT_TOL) for w in images]
-    if None in coords:
+    matrix = _image_matrix(lat, *images, CONTAINMENT_TOL)
+    if matrix is None:
         defect = max(abs(c - round(c)) for w in images for c in lat.coords(w))
         raise FitFailure(f"alpha={alpha!r} does not map the lattice into itself "
                          f"(containment defect {defect:.3e})", defect)
-    (p, r), (q, s) = coords
-    return p, q, r, s
+    return matrix
 
 
 def _sample_set(lat: Lattice, alpha: complex, count: int) -> np.ndarray:

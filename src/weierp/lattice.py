@@ -10,7 +10,6 @@ tolerance.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -152,33 +151,29 @@ def shortest_vector(lat: Lattice) -> float:
     return min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
 
 
-def _integer_coords(lat: Lattice, z: complex, tol: float) -> tuple[int, int] | None:
-    x, y = lat.coords(z)
-    m, n = round(x), round(y)
+def _image_matrix(
+    lat: Lattice, image1: complex, image2: complex, tol: float
+) -> tuple[int, int, int, int] | None:
+    """Integer (p, q, r, s) with image1 = p omega1 + r omega2 and
+    image2 = q omega1 + s omega2, or None when either image is further than
+    tol * (|omega1| + |omega2|) from the lattice point its rounded
+    coordinates name.
+    """
     scale = abs(lat.omega1) + abs(lat.omega2)
-    if abs(z - lat.point(m, n)) <= tol * scale:
-        return m, n
-    return None
+    coords = []
+    for z in (image1, image2):
+        x, y = lat.coords(z)
+        m, n = round(x), round(y)
+        if not abs(z - lat.point(m, n)) <= tol * scale:
+            return None
+        coords += [m, n]
+    p, r, q, s = coords
+    return p, q, r, s
 
 
 def is_closed_under_conjugation(lat: Lattice, tol: float = 1e-9) -> bool:
     """True iff the conjugates of both generators lie in the lattice."""
-    return (
-        _integer_coords(lat, lat.omega1.conjugate(), tol) is not None
-        and _integer_coords(lat, lat.omega2.conjugate(), tol) is not None
-    )
-
-
-def _conjugation_matrix(lat: Lattice, tol: float) -> np.ndarray | None:
-    """Integer matrix of complex conjugation in the basis, or None."""
-    c1 = _integer_coords(lat, lat.omega1.conjugate(), tol)
-    c2 = _integer_coords(lat, lat.omega2.conjugate(), tol)
-    if c1 is None or c2 is None:
-        return None
-    mat = np.array([[c1[0], c2[0]], [c1[1], c2[1]]], dtype=int)
-    if not np.array_equal(mat @ mat, np.eye(2, dtype=int)):
-        return None
-    return mat
+    return _image_matrix(lat, lat.omega1.conjugate(), lat.omega2.conjugate(), tol) is not None
 
 
 def classify_real(lat: Lattice, tol: float = 1e-9) -> LatticeClass:
@@ -189,10 +184,13 @@ def classify_real(lat: Lattice, tol: float = 1e-9) -> LatticeClass:
     identity mod 2 exactly when some basis change produces one real and one
     purely imaginary generator; otherwise conjugate generators exist.
     """
-    mat = _conjugation_matrix(lat, tol)
+    mat = _image_matrix(lat, lat.omega1.conjugate(), lat.omega2.conjugate(), tol)
     if mat is None:
         return LatticeClass.NON_REAL
-    if np.array_equal(np.mod(mat, 2), np.eye(2, dtype=int)):
+    p, q, r, s = mat
+    if (p * p + q * r, q * (p + s), r * (p + s), q * r + s * s) != (1, 0, 0, 1):
+        return LatticeClass.NON_REAL  # not an involution
+    if p % 2 and s % 2 and not q % 2 and not r % 2:
         return LatticeClass.RECTANGULAR
     return LatticeClass.RHOMBIC
 
@@ -202,23 +200,6 @@ def classify_real(lat: Lattice, tol: float = 1e-9) -> LatticeClass:
 # ---------------------------------------------------------------------------
 
 
-def _edge_min(w1: complex, w2: complex) -> float:
-    """Min of |x*w1 + y*w2| over the boundary of the unit coordinate box.
-
-    Per edge the squared norm is a quadratic in the free coordinate, so the
-    minimum is at a vertex or at the clamped stationary point.
-    """
-
-    def seg_min(base: complex, step: complex) -> float:
-        # |base + t*step| over t in [-1, 1]
-        denom = abs(step) ** 2
-        t = 0.0 if denom == 0 else -(base.real * step.real + base.imag * step.imag) / denom
-        t = max(-1.0, min(1.0, t))
-        return min(abs(base + t * step), abs(base - step), abs(base + step))
-
-    return min(seg_min(w1, w2), seg_min(-w1, w2), seg_min(w2, w1), seg_min(-w2, w1))
-
-
 def disc_points(lat: Lattice, radius: int) -> np.ndarray:
     """Nonzero lattice points with |omega| <= radius * shortest_vector(lat).
 
@@ -226,20 +207,23 @@ def disc_points(lat: Lattice, radius: int) -> np.ndarray:
     under every rotational symmetry of the lattice, so symmetry-forced
     cancellations in lattice sums survive truncation exactly.  The cutoff gets
     a 1e-9 relative slack so that a full rotation orbit sitting exactly on the
-    boundary is included atomically despite floating-point jitter.  The last
-    few discs are cached, so the returned array must not be modified.
+    boundary is included atomically despite floating-point jitter.
+
+    The candidates m omega1 + n omega2 come from the box
+    |m| <= ceil(R |omega2| / A) + 2, |n| <= ceil(R |omega1| / A) + 2, with R
+    the cutoff radius and A the covolume.  The box is exact for any basis:
+    z = m omega1 + n omega2 has n A = Im(conj(omega1) z) and
+    m A = Im(conj(z) omega2), so |n| <= |z| |omega1| / A and
+    |m| <= |z| |omega2| / A; the + 2 covers the slack and rounding.  Points
+    come in row-major (m, n) order.  Nothing is cached: a caller that reuses
+    a disc keeps it.
     """
-    # a plain function, so that profilers that wrap module functions see it
-    return _disc_points(lat, radius)
-
-
-@functools.lru_cache(maxsize=4)
-def _disc_points(lat: Lattice, radius: int) -> np.ndarray:
     w1, w2 = lat.omega1, lat.omega2
     cut_r = radius * shortest_vector(lat)
-    box = int(math.ceil(cut_r / _edge_min(w1, w2))) + 2
-    side = np.arange(-box, box + 1)
-    m, n = np.meshgrid(side, side, indexing="ij")
+    area = lat.covolume()
+    box_m = int(math.ceil(cut_r * abs(w2) / area)) + 2
+    box_n = int(math.ceil(cut_r * abs(w1) / area)) + 2
+    m, n = np.meshgrid(np.arange(-box_m, box_m + 1), np.arange(-box_n, box_n + 1), indexing="ij")
     pts = (m * w1 + n * w2).ravel()
     norm2 = pts.real**2 + pts.imag**2
     mask = (norm2 > 1e-24 * abs(w1) ** 2) & (norm2 <= cut_r**2 * (1 + 1e-9))
@@ -255,9 +239,11 @@ def eisenstein_invariants(lat: Lattice, radius: int) -> tuple[Invariants, float]
     """Invariants by truncated lattice sums: g2 = 60 * sum 1/w^4, g3 = 140 * sum 1/w^6.
 
     Returns (Invariants, tail_estimate).  The estimate bounds the truncation
-    error of g2 (the slower sum): counting shells of at most 8k points at
-    distance >= k * shortest_vector gives tail <= 240 * s^-4 / radius^2,
-    padded by a safety factor for the boundary shell.
+    error of both sums: counting shells of at most 8k points at distance
+    >= k * shortest_vector s gives tails <= 240 s^-4 / radius^2 for g2 and
+    <= 140 * 2 s^-6 / radius^4 for g3, each padded by a safety factor of 4
+    for the boundary shell.  The two scale differently with s, so the larger
+    one is returned.
     """
     if radius < 10:
         raise ValueError("radius must be >= 10")
@@ -265,7 +251,7 @@ def eisenstein_invariants(lat: Lattice, radius: int) -> tuple[Invariants, float]
     g2 = 60.0 * np.sum(pts**-4.0)
     g3 = 140.0 * np.sum(pts**-6.0)
     s = shortest_vector(lat)
-    tail = 4.0 * 240.0 / (s**4 * radius**2)
+    tail = max(4.0 * 240.0 / (s**4 * radius**2), 4.0 * 140.0 * 2.0 / (s**6 * radius**4))
     return Invariants(complex(g2), complex(g3)), tail
 
 
@@ -331,13 +317,6 @@ def detect_cm(lat: Lattice, coeff_bound: int = 50, tol: float = 1e-9) -> CMWitne
         scale = a * abs(tau2) + abs(b) * abs(tau) + abs(c)
         if abs(a * tau2 + b * tau + c) < tol * scale:
             alpha = a * tau
-            if _verify_containment(lat, alpha, tol):
+            if _image_matrix(lat, alpha * lat.omega1, alpha * lat.omega2, tol) is not None:
                 return CMWitness(alpha=alpha, min_poly=(a, b, c), norm=a * c)
     return None
-
-
-def _verify_containment(lat: Lattice, alpha: complex, tol: float) -> bool:
-    return (
-        _integer_coords(lat, alpha * lat.omega1, tol) is not None
-        and _integer_coords(lat, alpha * lat.omega2, tol) is not None
-    )

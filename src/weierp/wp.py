@@ -130,7 +130,13 @@ def pole_distance_many(zs, lat: Lattice) -> np.ndarray:
 def _oracle_setup(lat: Lattice, radius: int):
     """Per-(lattice, radius) data: S4, S6, the disc points w and 1/w^2, the
     roundoff weights sum |w|^-2, M4 = |g2|/60 + sum |w|^-4 and
-    M6 = |g3|/140 + sum |w|^-6, and the cutoff."""
+    M6 = |g3|/140 + sum |w|^-6, the shortest vector s and the cutoff.
+
+    This is the package's one lattice-sum cache: its disc is the only one
+    that callers reuse, as checking the evaluator against the oracle takes
+    hundreds of points per lattice at radius 400.  Four entries bound the
+    memory when many lattices pass through.
+    """
     pts = disc_points(lat, radius)
     inv_sq = 1.0 / pts**2
     inv = invariants_qseries(lat)
@@ -140,8 +146,8 @@ def _oracle_setup(lat: Lattice, radius: int):
     m2 = float(np.sum(r2))
     m4 = abs(inv.g2) / 60.0 + float(np.sum(r2**2))
     m6 = abs(inv.g3) / 140.0 + float(np.sum(r2**3))
-    cut = radius * shortest_vector(lat)
-    return complex(s4), complex(s6), pts, inv_sq, m2, m4, m6, cut
+    lam = shortest_vector(lat)
+    return complex(s4), complex(s6), pts, inv_sq, m2, m4, m6, lam, radius * lam
 
 
 def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
@@ -155,9 +161,16 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
     with S_m the exterior lattice sums, which are known exactly from the
     invariants minus the interior partial sums.  Adding the two leading terms
     leaves a remainder far below every tolerance used against this oracle.
-    The bound then adds that remainder to 8 eps times the magnitudes that
-    were summed: |1/(z-w)^2| and |1/w^2| over the disc, and 3|z|^2 M4 +
-    5|z|^4 M6 for the two correction terms.
+
+    The tail bounds rest on T_p = sum_{|w| > cut} |w|^-p.  Discs of radius
+    s/2 about the lattice points (s the shortest vector) are disjoint, so
+    T_p <= (8 / s^2) int_{cut - s}^inf (t + s/2) t^-p dt, with cut >= 10 s.
+    For |z| < cut/4 the remainder, the sum over even k >= 6 of
+    (k+1) z^k T_(k+2), is below 20 |z|^6 / (s^2 cut^6).  Up to cut/2 the
+    bare tail, pairing w with -w, is below 30 |z|^2 / (s^2 cut^2); beyond,
+    the bound is infinite.  To these the bound adds 8 eps times the
+    magnitudes summed: |1/(z-w)^2| and |1/w^2| over the disc, and
+    3|z|^2 M4 + 5|z|^4 M6 for the two correction terms.
     """
     if radius < 10:
         raise ValueError("radius must be >= 10")
@@ -165,17 +178,20 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> EvalResult:
     lat = ensure_reduced(lat)
     if pole_distance(z, lat) <= POLE_REL_TOL * abs(lat.omega1):
         raise PoleError(f"z = {z!r} is a lattice point")
-    s4, s6, pts, inv_sq, m2, m4, m6, cut = _oracle_setup(lat, radius)
+    s4, s6, pts, inv_sq, m2, m4, m6, lam, cut = _oracle_setup(lat, radius)
     terms = 1.0 / (z - pts) ** 2
     total = 1.0 / (z * z) + np.sum(terms - inv_sq)
-    err = 2.0 * math.pi * abs(z) / cut  # bare-series tail bound, O(1/radius)
+    az2 = abs(z) ** 2
+    summed = 1.0 / az2 + float(np.sum(np.abs(terms))) + m2
     if abs(z) < 0.25 * cut:
         total += 3.0 * z**2 * s4 + 5.0 * z**4 * s6
-        az2 = abs(z) ** 2
-        summed = 1.0 / az2 + float(np.sum(np.abs(terms))) + m2
         summed += 3.0 * az2 * m4 + 5.0 * az2**2 * m6
-        err = 8.0 * 7.0 * abs(z) ** 6 / cut**6 + ROUNDOFF * _EPS * summed
-    return EvalResult(complex(total), err)
+        tail = 20.0 * az2**3 / (lam**2 * cut**6)
+    elif abs(z) <= 0.5 * cut:
+        tail = 30.0 * az2 / (lam**2 * cut**2)
+    else:
+        tail = math.inf
+    return EvalResult(complex(total), tail + ROUNDOFF * _EPS * summed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 import time
 
 import pytest
 
+import weierp.cli
 from weierp.cli import MACHINE_SENTINEL, main, parse_complex
+from weierp.wp import EvalResult
 
 
 def run_cli(capsys, *args):
@@ -102,6 +107,22 @@ def test_eval_oracle_residual(capsys):
     assert m["diffeq_residual"] < 1e-9
 
 
+def test_eval_oracle_outside_bounds_exits_1(capsys, monkeypatch):
+    true_oracle = weierp.cli.wp_direct_sum
+
+    def shifted(z, lat, radius):
+        o = true_oracle(z, lat, radius)
+        return EvalResult(o.value + 1e-6, o.err_estimate)
+
+    monkeypatch.setattr(weierp.cli, "wp_direct_sum", shifted)
+    code, out = run_cli(capsys, "eval", "--tau", "i", "--z", "0.3i", "--oracle")
+    assert code == 1
+    assert "oracle check failed: |diff| exceeds the sum of both error bounds" in out
+    m = machine_block(out)
+    assert m["oracle_failed"] is True
+    assert m["oracle_diff"] > m["wp_err_estimate"]
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------
@@ -147,6 +168,26 @@ def test_disc_square(capsys):
     assert m["passed"] is True
     assert m["maps"]["poles"] == [] and complex(*m["maps"]["scale"]) == -1.0
     assert m["cm"]["min_poly"] == [1, 0, 1]
+
+
+def test_disc_states_class_and_hypothesis(capsys):
+    code, out = run_cli(capsys, "disc", "--tau", "i")
+    assert code == 0
+    assert out.splitlines()[1] == "class: rectangular"
+    assert "does not apply" not in out
+    m = machine_block(out)
+    assert m["class"] == "rectangular" and m["hypothesis_holds"] is True
+    # CM (min_poly (2, 1, 3)) but not closed under conjugation: the grid
+    # check still runs and passes, and the report says the theorem is moot
+    code, out = run_cli(capsys, "disc", "--tau=-0.25+1.1989578808281798i")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "class: non-real"
+    assert lines[2] == ("the lattice is not closed under complex conjugation: "
+                        "the paper's theorem does not apply")
+    m = machine_block(out)
+    assert m["class"] == "non-real" and m["hypothesis_holds"] is False
+    assert m["cm"]["min_poly"] == [2, 1, 3]
 
 
 def test_disc_hexagonal(capsys):
@@ -205,3 +246,31 @@ def test_disc_interval_with_pole_exits_cleanly(capsys):
 def test_lattice_radius_too_small_exits_cleanly(capsys):
     assert main(["lattice", "--tau", "i", "--radius", "5"]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def readme_commands():
+    """(argv, expected exit code) for each `weierp ...` line of the README's CLI block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if not line.startswith("weierp "):
+            continue
+        command, _, comment = line.partition("#")
+        code = re.search(r"exits (\d+)", comment)
+        commands.append((shlex.split(command)[1:], int(code.group(1)) if code else 0))
+    return commands
+
+
+def test_readme_cli_commands(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv, expected in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == expected, (argv, out)
+        assert isinstance(machine_block(out), dict)

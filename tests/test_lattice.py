@@ -231,14 +231,55 @@ def test_qseries_within_truncation_tail(reference_lattices):
         assert abs(exact.g2 - trunc.g2) <= est
         assert abs(exact.g3 - trunc.g3) <= est
         assert abs(exact.discriminant) > 1e3  # nondegenerate
+    # scaled generators: the g2 and g3 sums scale as s^-4 and s^-6, so at
+    # scale 1e-3 the g3 tail is the larger one
+    for scale in (1e-3, 1e3):
+        for tau in (1j, complex(0.5, math.sqrt(3) / 2), 0.31 + 1.27j, 3j, 12j):
+            lat = reduce_generators(scale, scale * tau)
+            exact = invariants_qseries(lat)
+            for radius in (10, 40, 120):
+                trunc, est = eisenstein_invariants(lat, radius)
+                assert abs(exact.g2 - trunc.g2) <= est, (scale, tau, radius)
+                assert abs(exact.g3 - trunc.g3) <= est, (scale, tau, radius)
 
 
-def test_disc_points_cache_and_symmetry(square):
-    pts = disc_points(square, 25)
-    assert disc_points(square, 25) is pts
-    as_set = set(zip(pts.real.round(9), pts.imag.round(9)))
-    for z in pts[:50]:
-        assert (round(-z.real, 9), round(-z.imag, 9)) in as_set
+def independent_disc_points(lat, radius):
+    """disc_points by rows: |m w1 + n w2|^2 <= C is a quadratic in m for each n,
+    real exactly when n^2 A^2 <= |w1|^2 C.  Returned in (m, n) order."""
+    w1, w2 = lat.omega1, lat.omega2
+    cut2 = (radius * shortest_vector(lat)) ** 2
+    a2 = abs(w1) ** 2
+    area = abs((w1.conjugate() * w2).imag)
+    cross = (w1 * w2.conjugate()).real
+    n_max = math.floor(math.sqrt(a2 * cut2) / area) + 1
+    ms, ns = [], []
+    for n in range(-n_max, n_max + 1):
+        half = math.sqrt(max(0.0, (n * cross) ** 2 - a2 * (n * n * abs(w2) ** 2 - cut2))) / a2
+        centre = -n * cross / a2
+        m = np.arange(math.floor(centre - half) - 1, math.ceil(centre + half) + 2)
+        ms.append(m)
+        ns.append(np.full(len(m), n))
+    m, n = np.concatenate(ms), np.concatenate(ns)
+    order = np.lexsort((n, m))
+    pts = m[order] * w1 + n[order] * w2
+    norm2 = pts.real**2 + pts.imag**2
+    return pts[(norm2 > 1e-24 * abs(w1) ** 2) & (norm2 <= cut2 * (1 + 1e-9))]
+
+
+def test_disc_points_enumeration_and_symmetry(square):
+    lattices = [
+        square,
+        reduce_generators(1.0, 40j),
+        reduce_generators(1e-3, 1e-3 * (0.31 + 1.27j)),
+        reduce_generators(1e3, 1e3 * complex(0.5, math.sqrt(3) / 2)),
+        Lattice(1, 2 + 1j),  # unreduced: the box is exact for any basis
+    ]
+    for lat in lattices:
+        pts = disc_points(lat, 25)
+        assert np.array_equal(pts, independent_disc_points(lat, 25)), lat
+        # point(-m, -n) is exactly -point(m, n), and the order is (m, n)
+        assert np.array_equal(pts[::-1], -pts)
+    assert len(disc_points(square, 25)) == 1960
 
 
 # ---------------------------------------------------------------------------

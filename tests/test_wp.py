@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weierp.errors import PoleError
-from weierp.lattice import _disc_points, invariants_qseries, reduce_generators, shortest_vector
+from weierp.lattice import invariants_qseries, reduce_generators, shortest_vector
 from weierp.verify import sample_cell_points
 from weierp.wp import (
     _oracle_setup,
@@ -51,34 +51,48 @@ def test_direct_sum_pole_raises(square):
         wp_direct_sum(1.0 + 0j, square, 100)
 
 
-# (omega1, omega2, z) where a roundoff term of 8e-14 |value| fell below the
-# true error: the summed magnitudes are a hundred times |value| and more
+# (omega1, omega2, z, radius) where a roundoff term of 8e-14 |value| fell
+# below the true error: the summed magnitudes are a hundred times |value| and
+# more
 DIRECT_SUM_CASES = [
     (-0.06335343991951889 + 0.0533509846168259j, 0.185837754972978 - 0.1744110155108688j,
-     -0.03179719937422768 + 0.021762145091157117j),
+     -0.03179719937422768 + 0.021762145091157117j, 200),
     (0.004515620865983195 + 0.011568791862965444j, -0.026505258033882026 + 0.05527480283684043j,
-     0.033822006631828154 - 0.0238427485321102j),
+     0.033822006631828154 - 0.0238427485321102j, 200),
     (0.1211259535666547 - 0.2081849522950672j, -0.03665606508658412 + 0.06791244670226639j,
-     -0.018055888210200384 - 0.03269570875497914j),
+     -0.018055888210200384 - 0.03269570875497914j, 200),
     (-0.04032297531418758 + 0.0338486660449743j, -0.009173618445991174 - 0.014706480033970461j,
-     -0.02943408431012138 + 0.037317594651340005j),
+     -0.02943408431012138 + 0.037317594651340005j, 200),
+] + [
+    # generators scaled far from 1, where a truncation bound that ignores the
+    # length scale missed by 2e3 to 8e4 times; |z| is 0.2, 0.4, 0.45 and 0.98
+    # of the cutoff, so every tail branch is covered, the last with an
+    # infinite bound
+    (1e-3, 12e-3j, 0.001529684374568977 + 0.001288435374475382j, 10),
+    (1e-3, 5e-3j, 0.0072575379428092375 + 0.014259317760982966j, 40),
+    (1e-3, 1e-3j, 0.004299014201065227 + 0.0013298409299760281j, 10),
+    (1e-3, 5e-3j, 0.0097 + 0.0013j, 10),
+    (1e3, 500 + 866.0254037844386j, 18421.219880057703 + 7788.36684617301j, 200),
+    (1e3, 3e3j, -915.5230404037133 + 2000.4543390164997j, 10),
+    # tau = 1000i at radius 10: the disc is one row of points, and a bound
+    # taken over the covolume instead of the shortest vector misses by 2.5x
+    (1.0, 1000j, 1.4700998667618626 + 0.2980039961925918j, 10),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(DIRECT_SUM_CASES)))
 def test_direct_sum_err_estimate_bounds_true_error(case):
-    w1, w2, z = DIRECT_SUM_CASES[case]
+    w1, w2, z, radius = DIRECT_SUM_CASES[case]
     want, _ = ThetaReference(w1, w2)(z)
-    got = wp_direct_sum(z, reduce_generators(w1, w2), 200)
+    got = wp_direct_sum(z, reduce_generators(w1, w2), radius)
     assert abs(got.value - want) <= got.err_estimate
 
 
-def test_direct_sum_caches_stay_bounded():
+def test_direct_sum_cache_stays_bounded():
     for k in range(20):
         wp_direct_sum(0.3 + 0.1j, reduce_generators(1.0, complex(0.01 * k, 1.1 + 0.1 * k)), 20)
-    for cached in (_oracle_setup, _disc_points):
-        info = cached.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+    info = _oracle_setup.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

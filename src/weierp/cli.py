@@ -163,7 +163,9 @@ def cmd_eval(args) -> int:
         "wp": _pair(p.value),
         "wp_err_estimate": p.err_estimate,
         "wp_prime": _pair(dp.value),
+        "wp_prime_err_estimate": dp.err_estimate,
         "wp_second": _pair(ddp.value),
+        "wp_second_err_estimate": ddp.err_estimate,
         "diffeq_residual": residual,
     }
     code = EXIT_OK

@@ -132,8 +132,7 @@ class DiscExtension:
         lat = ensure_reduced(self.lattice)
         guard = 1e-9 * abs(lat.omega1)
         ts = np.linspace(a, b, 33)
-        near = pole_distance_many(ts, lat) <= guard
-        near_image = pole_distance_many(self.pair.alpha * ts, lat) <= guard
+        near, near_image = pole_distance_many([ts, self.pair.alpha * ts], lat) <= guard
         for t, hit, hit_image in zip(ts, near, near_image):
             if hit:
                 raise ValueError(f"interval point {t} hits a pole")
@@ -239,8 +238,9 @@ def fit_multiplier_maps(lat: Lattice, witness: CMWitness) -> CMRationalPair:
     k, m = len(kernel), len(zs)
     x, v = values.wp[k : k + m], values.wp1[k : k + m]
     inv = invariants_qseries(lat)
-    wp_map = PoleSumMap(alpha, values.wp[:k], inv.g2, inv.g3)
-    factor = PoleSumMap(alpha, values.wp[:k], inv.g2, inv.g3, odd=True)
+    poles = values.wp[:k].copy()  # a view would keep every sample value alive
+    wp_map = PoleSumMap(alpha, poles, inv.g2, inv.g3)
+    factor = PoleSumMap(alpha, poles, inv.g2, inv.g3, odd=True)
     residual = max(_rational_residual(wp_map(x), values.wp[k + m :]),
                    _rational_residual(v * factor(x), values.wp1[k + m :]))
     if not residual < VALIDATION_TOL:
@@ -266,36 +266,46 @@ _DISC_GUARDS = (
 )
 
 
-def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """disc_eval at every node (x, y) of the grid xs x ys.
+def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """disc_eval at every node (x, y) of the grid xs x ys, beside wp(x + alpha*y).
 
-    Each x and each y is evaluated once, and the multiplier maps are applied
-    once per y.  Returns (status, value), both of shape (len(xs), len(ys)): status
+    One pole screen covers x, alpha*y, y, x - alpha*y and x + alpha*y, and one
+    wp_many call evaluates each x and each y once together with every
+    x + alpha*y off the lattice; the multiplier maps are applied once per y.
+    Returns (status, value, exact), each of shape (len(xs), len(ys)): status
     is the index in _DISC_GUARDS of the first guard a node fails, 0 where it
-    passes them all, and value is NaN wherever status is not 0.
+    passes them all, value is NaN wherever status is not 0, and exact is
+    wp(x + alpha*y) direct, NaN where x + alpha*y is a pole.
     """
     lat = ensure_reduced(de.lattice)
     alpha = de.pair.alpha
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    shape = (len(xs), len(ys))
+    n, m = len(xs), len(ys)
+    shape = (n, m)
     tiny = 1e-12 * abs(lat.omega1)
-    x_pole = pole_distance_many(xs, lat) <= tiny
     ay = alpha * ys
-    ay_pole = pole_distance_many(ay, lat) <= tiny
-    y_pole = pole_distance_many(ys, lat) <= tiny
-    diff_pole = pole_distance_many(xs[:, None] - ay, lat) <= 1e-9 * abs(lat.omega1)
+    sums = xs[:, None] + ay
+    dist = pole_distance_many(np.concatenate([xs, ay, ys, (xs[:, None] - ay).ravel(),
+                                              sums.ravel()]), lat)
+    near = dist <= tiny
+    x_pole, ay_pole, y_pole = near[:n], near[n : n + m], near[n + m : n + 2 * m]
+    diff_pole = dist[n + 2 * m : n + 2 * m + n * m].reshape(shape) <= 1e-9 * abs(lat.omega1)
+    sum_ok = ~near[n + 2 * m + n * m :].reshape(shape)
+    x_ok, y_ok = ~x_pole, ~(ay_pole | y_pole)
+    xo, yo = xs[x_ok], ys[y_ok]
+    both = wp_many(np.concatenate([xo, yo, sums[sum_ok]]), lat)
+    i, j = len(xo), len(xo) + len(yo)
 
-    u1 = np.full(len(xs), np.nan, dtype=complex)
+    u1 = np.full(n, np.nan, dtype=complex)
     v1 = u1.copy()
-    here = wp_many(xs[~x_pole], lat)
-    u1[~x_pole], v1[~x_pole] = here.wp, here.wp1
-    u2 = np.full(len(ys), np.nan, dtype=complex)
+    u1[x_ok], v1[x_ok] = both.wp[:i], both.wp1[:i]
+    u2 = np.full(m, np.nan, dtype=complex)
     v2 = u2.copy()
-    y_ok = ~(ay_pole | y_pole)
-    there = wp_many(ys[y_ok], lat)
-    u2[y_ok] = de.pair.wp_map(there.wp)
-    v2[y_ok] = there.wp1 * de.pair.wp_prime_factor(there.wp)
+    u2[y_ok] = de.pair.wp_map(both.wp[i:j])
+    v2[y_ok] = both.wp1[i:j] * de.pair.wp_prime_factor(both.wp[i:j])
+    exact = np.full(shape, np.nan, dtype=complex)
+    exact[sum_ok] = both.wp[j:]
     denom = u1[:, None] - u2
     coincide = np.abs(denom) < 1e-10 * (1.0 + np.abs(u1)[:, None] + np.abs(u2))
 
@@ -306,7 +316,7 @@ def _disc_grid(de: DiscExtension, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     u1, v1, u2, v2 = (np.broadcast_to(c, shape)[ok] for c in (u1[:, None], v1[:, None], u2, v2))
     value = np.full(shape, np.nan, dtype=complex)
     value[ok] = 0.25 * ((v1 - v2) / denom[ok]) ** 2 - u1 - u2
-    return status, value
+    return status, value, exact
 
 
 def disc_eval(de: DiscExtension, x: float, y: float) -> complex:
@@ -320,7 +330,7 @@ def disc_eval(de: DiscExtension, x: float, y: float) -> complex:
     a, b = de.interval
     if not (a < x < b and a < y < b):
         raise ValueError("x and y must lie inside the interval")
-    status, value = _disc_grid(de, [x], [y])
+    status, value, _ = _disc_grid(de, [x], [y])
     if status[0, 0]:
         error, message = _DISC_GUARDS[status[0, 0]]
         raise error(message)
@@ -339,13 +349,17 @@ def verify_disc_extension(de: DiscExtension, grid_n: int, tol: float) -> DiscRep
         raise ValueError("grid_n must be >= 4")
     a, b = de.interval
     nodes = [a + (b - a) * (j + 0.5) / grid_n for j in range(grid_n)]
-    status, approx = _disc_grid(de, nodes, nodes)
+    status, approx, exact = _disc_grid(de, nodes, nodes)
     ok = status == 0
+    pole = ok & np.isnan(exact)
+    if pole.any():
+        i, j = (int(k[0]) for k in np.nonzero(pole))
+        z = nodes[i] + de.pair.alpha * nodes[j]
+        raise PoleError(f"z = {z!r} is within pole tolerance of the lattice")
     ix, iy = np.nonzero(ok)
-    grid = np.asarray(nodes)
-    exact = wp_many(grid[ix] + de.pair.alpha * grid[iy], de.lattice).wp
-    err = np.abs(approx[ok] - exact)
+    err = np.abs(approx[ok] - exact[ok])
     err[np.isnan(err)] = math.inf
     worst = float(np.max(err)) if err.size else 0.0
-    failures = tuple((nodes[i], nodes[j], float(e)) for i, j, e in zip(ix, iy, err) if e > tol)
+    bad = np.flatnonzero(err > tol)
+    failures = tuple((nodes[ix[k]], nodes[iy[k]], float(err[k])) for k in bad)
     return DiscReport(worst, int(err.size), failures, int(status.size - err.size))

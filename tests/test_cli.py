@@ -8,8 +8,11 @@ import time
 import pytest
 
 import weierp.cli
-from weierp.cli import MACHINE_SENTINEL, main, parse_complex
-from weierp.wp import EvalResult
+from weierp.cli import MACHINE_SENTINEL, _fmt_complex, main, parse_complex
+from weierp.lattice import reduce_generators
+from weierp.wp import EvalResult, _wp_triple
+
+from conftest import ThetaReference
 
 
 def run_cli(capsys, *args):
@@ -121,6 +124,23 @@ def test_eval_oracle_outside_bounds_exits_1(capsys, monkeypatch):
     m = machine_block(out)
     assert m["oracle_failed"] is True
     assert m["oracle_diff"] > m["wp_err_estimate"]
+
+
+def test_eval_json_bounds_each_derivative(capsys):
+    # the JSON block carries the bounds of wp' and wp'' beside that of wp;
+    # the human lines print a bound for wp only, as before
+    z = 0.21 + 0.34j
+    code, out = run_cli(capsys, "eval", "--tau", "i", "--z", "0.21+0.34i")
+    assert code == 0
+    m = machine_block(out)
+    p, dp, ddp = _wp_triple(z, reduce_generators(1.0, 1j))
+    assert m["wp_prime_err_estimate"] == dp.err_estimate > 0
+    assert m["wp_second_err_estimate"] == ddp.err_estimate > 0
+    _, want = ThetaReference(1.0, 1j)(z)
+    assert abs(complex(*m["wp_prime"]) - want) <= m["wp_prime_err_estimate"]
+    human = out.split(MACHINE_SENTINEL)[0].splitlines()
+    assert human[2:5] == [f"wp: {_fmt_complex(p.value)} (err<={p.err_estimate!r})",
+                          f"wp': {_fmt_complex(dp.value)}", f"wp'': {_fmt_complex(ddp.value)}"]
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,15 @@ def test_kernel_size_equals_norm(rng):
         assert pair.residual < 1e-9
 
 
+def test_maps_share_one_owned_pole_array(square):
+    # both maps hold the same N - 1 poles in one array that owns its data,
+    # so a kept pair does not keep the whole batch of sample values alive
+    pair = fit_multiplier_maps(square, CMWitness(3.0 + 0j, None, 9))
+    poles = pair.wp_map.poles
+    assert pair.wp_prime_factor.poles is poles
+    assert poles.base is None and poles.shape == (8,)
+
+
 @pytest.mark.parametrize("case", ["2+i on the square lattice", "(-1+sqrt-23)/4"])
 def test_cyclic_kernel_maps_match_wp(case, square, rng):
     # kernels whose points mix both basis directions: alpha = 2+i (norm 5),
@@ -316,6 +325,99 @@ def test_disc_eval_degenerate_guard(square):
         disc_eval(de, 0.25, 0.25)
 
 
+def per_part_grid(de, xs, ys):
+    """_disc_grid's (status, value, exact) from one pole screen and one wp_many
+    call per part, the way the grid was evaluated before they were merged."""
+    lat = de.lattice
+    alpha = de.pair.alpha
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    shape = (len(xs), len(ys))
+    tiny = 1e-12 * abs(lat.omega1)
+    x_pole = pole_distance_many(xs, lat) <= tiny
+    ay_pole = pole_distance_many(alpha * ys, lat) <= tiny
+    y_pole = pole_distance_many(ys, lat) <= tiny
+    diff_pole = pole_distance_many(xs[:, None] - alpha * ys, lat) <= 1e-9 * abs(lat.omega1)
+    u1 = np.full(len(xs), np.nan, dtype=complex)
+    v1 = u1.copy()
+    here = wp_many(xs[~x_pole], lat)
+    u1[~x_pole], v1[~x_pole] = here.wp, here.wp1
+    u2 = np.full(len(ys), np.nan, dtype=complex)
+    v2 = u2.copy()
+    y_ok = ~(ay_pole | y_pole)
+    there = wp_many(ys[y_ok], lat)
+    u2[y_ok] = de.pair.wp_map(there.wp)
+    v2[y_ok] = there.wp1 * de.pair.wp_prime_factor(there.wp)
+    denom = u1[:, None] - u2
+    coincide = np.abs(denom) < 1e-10 * (1.0 + np.abs(u1)[:, None] + np.abs(u2))
+    guards = [np.broadcast_to(g, shape) for g in (x_pole[:, None], ay_pole, diff_pole, y_pole,
+                                                    coincide)]
+    status = np.select(guards, [1, 2, 3, 4, 5])
+    ok = status == 0
+    u1, v1, u2, v2 = (np.broadcast_to(c, shape)[ok] for c in (u1[:, None], v1[:, None], u2, v2))
+    value = np.full(shape, np.nan, dtype=complex)
+    value[ok] = 0.25 * ((v1 - v2) / denom[ok]) ** 2 - u1 - u2
+    sums = xs[:, None] + alpha * ys
+    sum_ok = pole_distance_many(sums, lat) > tiny
+    exact = np.full(shape, np.nan, dtype=complex)
+    exact[sum_ok] = wp_many(sums[sum_ok], lat).wp
+    return status, value, exact
+
+
+def test_merged_grid_matches_per_part_calls(square):
+    # alpha = 2i on the square lattice: x = 0 is a lattice point, alpha * 0.5
+    # = i is one while 0.5 is not, and y = 1 is both; x + alpha*y is on the
+    # lattice at (0, 0.5) and (0, 1).  One screen and one wp_many call over
+    # every part give the per-part calls' status, values and exact values bit
+    # for bit.
+    pair = fit_multiplier_maps(square, CMWitness(2j, None, 4))
+    de = DiscExtension(square, pair, INTERVAL)
+    xs = [0.0, 0.2, 0.3]
+    ys = [0.5, 0.25, 0.3, 1.0, 0.35]
+    status, value, exact = _disc_grid(de, xs, ys)
+    want = per_part_grid(de, xs, ys)
+    assert np.array_equal(status, want[0])
+    assert np.array_equal(value, want[1], equal_nan=True)
+    assert np.array_equal(exact, want[2], equal_nan=True)
+    assert status.tolist() == [[1] * 5, [2, 0, 0, 2, 0], [2, 0, 0, 2, 0]]
+    assert np.isnan(exact[0, [0, 3]]).all() and not np.isnan(exact[0, 1:3]).any()
+
+
+def test_verify_makes_one_screen_and_one_evaluation(square, square_pair, monkeypatch):
+    import weierp.cm
+
+    de = DiscExtension(square, square_pair, INTERVAL)
+    calls = {"wp_many": 0, "pole_distance_many": 0}
+
+    def counted(name):
+        inner = getattr(weierp.cm, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(weierp.cm, name, counted(name))
+    report = verify_disc_extension(de, 20, 1e-8)
+    assert calls == {"wp_many": 1, "pole_distance_many": 1}
+    assert report.points_checked == 400 and report.failures == ()
+
+
+def test_verify_lists_failures_above_tol(hexagonal, hex_pair):
+    # failures are exactly the checked nodes whose error exceeds tol, in
+    # row-major order, each with its node coordinates
+    de = DiscExtension(hexagonal, hex_pair, INTERVAL)
+    a, b = INTERVAL
+    nodes = [a + (b - a) * (j + 0.5) / 8 for j in range(8)]
+    status, value, exact = _disc_grid(de, nodes, nodes)
+    err = np.abs(value - exact)
+    tol = float(np.median(err))
+    report = verify_disc_extension(de, 8, tol)
+    want = tuple((nodes[i], nodes[j], float(err[i, j]))
+                 for i in range(8) for j in range(8) if err[i, j] > tol)
+    assert report.failures == want and 0 < len(want) < 64
+
+
 @pytest.mark.parametrize("case", ["square", "hexagonal", "alpha=1", "alpha=-1"])
 def test_grid_values_are_disc_eval(case, square, hexagonal, square_pair, hex_pair):
     # verify_disc_extension and disc_eval share one routine: every grid value
@@ -329,7 +431,7 @@ def test_grid_values_are_disc_eval(case, square, hexagonal, square_pair, hex_pai
     de = DiscExtension(lat, pair, INTERVAL)
     a, b = INTERVAL
     nodes = [a + (b - a) * (j + 0.5) / 20 for j in range(20)]
-    status, values = _disc_grid(de, nodes, nodes)
+    status, values, exact = _disc_grid(de, nodes, nodes)
     skipped = set()
     for i, x in enumerate(nodes):
         for j, y in enumerate(nodes):
@@ -346,6 +448,6 @@ def test_grid_values_are_disc_eval(case, square, hexagonal, square_pair, hex_pai
     ok = status == 0
     ix, iy = np.nonzero(ok)
     grid = np.asarray(nodes)
-    exact = wp_many(grid[ix] + pair.alpha * grid[iy], lat).wp
-    assert report.max_abs_error == np.max(np.abs(values[ok] - exact))
+    assert np.array_equal(exact[ok], wp_many(grid[ix] + pair.alpha * grid[iy], lat).wp)
+    assert report.max_abs_error == np.max(np.abs(values[ok] - exact[ok]))
     assert report.max_abs_error < 1e-8

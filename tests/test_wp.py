@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weierp.errors import PoleError
-from weierp.lattice import invariants_qseries, reduce_generators, shortest_vector
+from weierp.lattice import Lattice, invariants_qseries, reduce_generators, shortest_vector
 from weierp.verify import sample_cell_points
 from weierp.wp import (
     _oracle_setup,
@@ -310,6 +310,27 @@ def test_wp_many_matches_scalar(name):
             assert abs(values[k][i] - want.value) <= want.err_estimate, (z, k)
             assert abs(errs[k][i] - want.err_estimate) <= 1e-12 * want.err_estimate, (z, k)
     assert np.array_equal(pole_distance_many(zs, lat), [pole_distance(z, lat) for z in zs])
+
+
+def test_pole_distance_many_matches_scalar():
+    # the broadcast screen is the scalar routine bit for bit on an N-d array
+    # over an unreduced basis (tau = 1.2 + 1.4i), out to |z| = 1e6, including
+    # lattice points, points a hair off them and cell edges; one point too
+    lat = Lattice(1 - 2j, 4 - 1j)
+    red = reduce_generators(lat.omega1, lat.omega2)
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e3, 1e6):
+        box = rng.uniform(-scale, scale, (2, 4, 6))
+        zs = box[0] + 1j * box[1]
+        w = red.point(np.rint(zs.real / 3), np.rint(zs.imag / 3))
+        zs[0] = w[0]
+        zs[1, :3] = w[1, :3] + 1e-13 * np.array([1, 1j, -1 - 1j])
+        zs[1, 3:] = w[1, 3:] + 0.5 * np.array([red.omega1, red.omega2, red.omega1 + red.omega2])
+        got = pole_distance_many(zs, lat)
+        assert got.shape == zs.shape
+        assert np.array_equal(got, [[pole_distance(z, lat) for z in row] for row in zs])
+    one = pole_distance_many([0.3 + 0.2j], lat)
+    assert one.shape == (1,) and one[0] == pole_distance(0.3 + 0.2j, lat)
 
 
 def test_wp_many_pole_raises(square):

@@ -61,9 +61,7 @@ from .lattice import (
 from .verify import SuiteResult, run_all_suites
 from .wp import (
     EvalResult,
-    LaurentCoefficients,
     WpMany,
-    laurent_coefficients,
     pole_distance,
     pole_distance_many,
     wp_direct_sum,

@@ -18,6 +18,7 @@ coefficient within the bound.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -194,23 +195,11 @@ def cmd_verify(args) -> int:
         f"seed: {args.seed}",
         f"injected error: {args.inject_error}",
     ]
-    all_pass = True
-    suites = []
+    all_pass = all(r.passed for r in results)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        all_pass = all_pass and r.passed
-        lines.append(
-            f"suite {r.name}: max_residual={r.max_residual!r} threshold={r.threshold!r} {status}"
-        )
-        suites.append(
-            {
-                "name": r.name,
-                "max_residual": r.max_residual,
-                "threshold": r.threshold,
-                "checked": r.checked,
-                "passed": r.passed,
-            }
-        )
+        lines.append(f"suite {r.name}: max_residual={r.max_residual!r} "
+                     f"threshold={r.threshold!r} {'PASS' if r.passed else 'FAIL'}")
+    suites = [{**dataclasses.asdict(r), "passed": r.passed} for r in results]
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
     machine = {
         "command": "verify",

@@ -130,14 +130,10 @@ class DiscExtension:
         if not a < b:
             raise ValueError("interval endpoints must satisfy a < b")
         lat = ensure_reduced(self.lattice)
-        guard = 1e-9 * abs(lat.omega1)
         ts = np.linspace(a, b, 33)
-        near, near_image = pole_distance_many([ts, self.pair.alpha * ts], lat) <= guard
-        for t, hit, hit_image in zip(ts, near, near_image):
-            if hit:
-                raise ValueError(f"interval point {t} hits a pole")
-            if hit_image:
-                raise ValueError(f"alpha * {t} hits a pole")
+        hits = ts[pole_distance_many(ts, lat) <= 1e-9 * abs(lat.omega1)]
+        if hits.size:
+            raise ValueError(f"interval point {hits[0]} hits a pole")
 
 
 @dataclass(frozen=True)

@@ -59,17 +59,21 @@ def _peval(p: np.ndarray, x):
     return acc
 
 
+def _cabs(z):
+    """|z| of a number or an array, rounded as abs(complex) rounds it (via
+    np.hypot; np.abs rounds differently)."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
 def _condition(p: np.ndarray, x, value):
     """Horner cancellation factor of p at x: sum of |term| over |value|.
 
     x and value may be arrays of one shape; each entry gets the factor the
-    scalar call gives it, bit for bit (|value| via np.hypot, which rounds as
-    abs(complex) does; np.abs does not).
+    scalar call gives it, bit for bit.
     """
     ax = np.abs(np.asarray(x))[..., None]
     terms = np.sum(np.abs(p) * ax ** np.arange(len(p)), axis=-1)
-    value = np.asarray(value)
-    return terms / np.maximum(np.hypot(value.real, value.imag), 1e-300)
+    return terms / np.maximum(_cabs(value), 1e-300)
 
 
 def curve_polynomial(inv: Invariants) -> np.ndarray:
@@ -93,21 +97,22 @@ class RationalMap:
         object.__setattr__(self, "num", _trim(self.num))
         object.__setattr__(self, "den", _trim(self.den))
 
-    def __call__(self, x: complex) -> complex:
+    def __call__(self, x):
         return _peval(self.num, x) / _peval(self.den, x)
 
-    def condition(self, x: complex) -> float:
-        """Horner cancellation factor at x: term magnitude over value magnitude.
+    def condition(self, x):
+        """Horner cancellation factor at x: term magnitude over value magnitude,
+        at least 1; x may be a number or an array.
 
         Division-polynomial coefficients grow like powers of the invariants,
         so both parts of the map can lose up to log10(condition) digits when
         evaluated in binary64.  Callers that need guaranteed accuracy should
-        reject points where condition * 1e-16 exceeds their tolerance.
+        reject points where condition * 1e-16 exceeds their tolerance.  A NaN
+        factor is ignored, as max ignores it.
         """
-        worst = 1.0
-        for p in (self.num, self.den):
-            worst = max(worst, float(_condition(p, x, _peval(p, x))))
-        return worst
+        num, den = (_condition(p, x, _peval(p, x)) for p in (self.num, self.den))
+        worst = np.fmax(np.fmax(1.0, num), den)
+        return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +120,25 @@ class RationalMap:
 # ---------------------------------------------------------------------------
 
 
-def addition_formula(pz: complex, pw: complex, ppz: complex, ppw: complex) -> complex:
+def addition_formula(pz, pw, ppz, ppw):
     """wp(z+w) from the values (wp(z), wp(w), wp'(z), wp'(w)):
 
         wp(z+w) = ((wp'(z) - wp'(w)) / (wp(z) - wp(w)))^2 / 4 - wp(z) - wp(w).
+
+    The arguments may be numbers or arrays of one shape; DegenerateAddition
+    is raised if any entry is degenerate.
     """
     denom = pz - pw
     # grouping keeps the result bit-for-bit symmetric under (z, w) swap
-    if abs(denom) < ADDITION_TOL * (1.0 + (abs(pz) + abs(pw))):
+    if np.any(_cabs(denom) < ADDITION_TOL * (1.0 + (_cabs(pz) + _cabs(pw)))):
         raise DegenerateAddition("wp(z) - wp(w) vanishes: z = +-w modulo the lattice")
     return 0.25 * ((ppz - ppw) / denom) ** 2 - (pz + pw)
 
 
-def duplication(pz: complex, ppz: complex, ppz2: complex) -> complex:
-    """wp(2z) = (wp''(z) / wp'(z))^2 / 4 - 2 wp(z)."""
-    if abs(ppz) < WP_PRIME_FLOOR:
+def duplication(pz, ppz, ppz2):
+    """wp(2z) = (wp''(z) / wp'(z))^2 / 4 - 2 wp(z), for numbers or arrays of
+    one shape; HalfPeriodSingularity is raised if any wp'(z) vanishes."""
+    if np.any(_cabs(ppz) < WP_PRIME_FLOOR):
         raise HalfPeriodSingularity("wp'(z) vanishes: z is a half-period")
     return 0.25 * (ppz2 / ppz) ** 2 - 2.0 * pz
 

@@ -1,15 +1,17 @@
 """Property suites over the identity layer, runnable headless or via the CLI.
 
 Each suite samples seeded random points, evaluates one identity, and reports
-the worst residual against a fixed threshold.  The suites are deterministic
-functions of (lattice, seed), which is what makes byte-identical verification
-reports possible.
+the worst residual against a fixed threshold.  The lattice suites screen and
+evaluate their samples a block at a time, with one wp_many call per block.
+The suites are deterministic functions of (lattice, seed), which is what
+makes byte-identical verification reports possible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,26 +34,62 @@ from .lattice import (
     reduce_generators,
     shortest_vector,
 )
-from .wp import pole_distance, wp_eval, wp_prime_eval
+from .wp import pole_distance_many, wp_eval, wp_many, wp_prime_eval
 
 FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """A suite's worst residual over the `checked` samples it evaluated.
+
+    skipped counts the candidates that its screens dropped on the way: a pole
+    too close, a degenerate pair, or an error bound or Horner condition over
+    the budget.  A suite that checked nothing has not passed.
+    """
+
     name: str
     max_residual: float
     threshold: float
     checked: int
+    skipped: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "max_residual", float(self.max_residual))
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "checked", int(self.checked))
+        object.__setattr__(self, "skipped", int(self.skipped))
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.threshold
+        return self.checked > 0 and self.max_residual <= self.threshold
+
+
+def _first_passing(rng, count, cap, draw, test):
+    """The results of the first count candidates that test keeps, among at
+    most cap, and the number of candidates looked at.
+
+    draw(m) draws the next m candidates from rng; test maps them to the
+    ascending indices of those it keeps and their results.  Blocks are sized
+    a quarter over the pass rate seen so far.  The generator is then wound
+    back and redrawn to just after the last candidate looked at, so results
+    and generator state are those of a loop that draws and tests one at a time.
+    """
+    start = rng.bit_generator.state
+    found = [np.empty(0)]
+    kept = tried = 0
+    while kept < count and tried < cap:
+        need = count - kept
+        m = min(cap - tried, 8 + 5 * need * (tried + 1) // (4 * (kept + 1)))
+        idx, res = test(draw(m))
+        if len(idx) >= need:
+            m, res = int(idx[need - 1]) + 1, res[:need]
+        found.append(res)
+        kept += len(res)
+        tried += m
+    rng.bit_generator.state = start
+    draw(tried)
+    return np.concatenate(found), tried
 
 
 def sample_cell_points(
@@ -60,66 +98,61 @@ def sample_cell_points(
     count: int,
     margin: float = 0.1,
     multiples: tuple[int, ...] = (),
-) -> list[complex]:
+) -> np.ndarray:
     """Random points z of the fundamental cell with z, and k*z for each k in
-    multiples, at distance > margin*lambda from the poles."""
-    lam = shortest_vector(lat)
-    out: list[complex] = []
-    while len(out) < count:
-        u, v = rng.uniform(0.0, 1.0, 2)
-        z = u * lat.omega1 + v * lat.omega2
-        if pole_distance(z, lat) <= margin * lam:
-            continue
-        if any(pole_distance(k * z, lat) <= margin * lam for k in multiples):
-            continue
-        out.append(z)
-    return out
+    multiples, at distance > margin*lambda from the poles: the first count
+    candidates u*omega1 + v*omega2, (u, v) uniform, that pass the screen.
+    """
+    limit = margin * shortest_vector(lat)
+    ks = np.array([1, *multiples])[:, None]
+
+    def draw(m):
+        uv = rng.uniform(0.0, 1.0, (m, 2))
+        return uv[:, 0] * lat.omega1 + uv[:, 1] * lat.omega2
+
+    def screen(z):
+        idx = np.flatnonzero(np.all(pole_distance_many(ks * z, lat) > limit, axis=0))
+        return idx, z[idx]
+
+    return _first_passing(rng, count, math.inf, draw, screen)[0]
+
+
+def _result(name: str, residuals: np.ndarray, threshold: float, tried: int) -> SuiteResult:
+    """The suite's verdict over its residuals; a NaN residual fails it."""
+    worst = np.max(residuals, initial=0.0)
+    return SuiteResult(name, worst, threshold, len(residuals), tried - len(residuals))
 
 
 def suite_differential_identity(
     lat: Lattice, inv: Invariants, rng: np.random.Generator, count: int = 100
 ) -> SuiteResult:
-    worst = 0.0
-    for z in sample_cell_points(lat, rng, count, margin=0.05):
-        res = _curve_residual(wp_eval(z, lat).value, wp_prime_eval(z, lat).value, inv)
-        worst = max(worst, res)
-    return SuiteResult("differential_identity", worst, 1e-9, count)
+    r = wp_many(sample_cell_points(lat, rng, count, margin=0.05), lat)
+    return _result("differential_identity", _curve_residual(r.wp, r.wp1, inv), 1e-9, count)
 
 
 def suite_addition_law(
     lat: Lattice, inv: Invariants, rng: np.random.Generator, count: int = 60
 ) -> SuiteResult:
     lam = shortest_vector(lat)
-    worst = 0.0
-    checked = 0
-    tried = 0
-    while checked < count and tried < 100 * count:
-        tried += 1
-        z, w = sample_cell_points(lat, rng, 2, margin=0.1)
-        if pole_distance(z + w, lat) <= 0.05 * lam:
-            continue
-        rz = wp_eval(z, lat)
-        rw = wp_eval(w, lat)
-        uz, uw = rz.value, rw.value
-        if abs(uz - uw) <= 1e-6 * (1.0 + abs(uz) + abs(uw)):
-            continue
-        pz = wp_prime_eval(z, lat)
-        pw = wp_prime_eval(w, lat)
-        slope = abs((pz.value - pw.value) / (uz - uw))
-        bound = (
-            0.5
-            * slope
-            * (pz.err_estimate + pw.err_estimate + slope * (rz.err_estimate + rw.err_estimate))
-            / abs(uz - uw)
-            + rz.err_estimate
-            + rw.err_estimate
-        )
-        if bound > 1e-9:  # formula not evaluable to tolerance at this pair
-            continue
-        got = addition_formula(uz, uw, pz.value, pw.value)
-        worst = max(worst, abs(got - wp_eval(z + w, lat).value))
-        checked += 1
-    return SuiteResult("addition_law", worst, 1e-8, checked)
+
+    def test(pairs):
+        idx = np.flatnonzero(pole_distance_many(pairs[:, 0] + pairs[:, 1], lat) > 0.05 * lam)
+        z, w = pairs[idx].T
+        r = wp_many(np.stack([z, w, z + w]), lat)
+        gap = np.abs(r.wp[0] - r.wp[1])
+        keep = gap > 1e-6 * (1.0 + np.abs(r.wp[0]) + np.abs(r.wp[1]))
+        idx, gap = idx[keep], gap[keep]
+        u, p, e, d = (a[:, keep] for a in (r.wp, r.wp1, r.wp_err, r.wp1_err))
+        slope = np.abs((p[0] - p[1]) / (u[0] - u[1]))
+        bound = 0.5 * slope * (d[0] + d[1] + slope * (e[0] + e[1])) / gap + e[0] + e[1]
+        ok = ~(bound > 1e-9)  # elsewhere the formula is not evaluable to tolerance
+        return idx[ok], np.abs(addition_formula(u[0, ok], u[1, ok], p[0, ok], p[1, ok]) - u[2, ok])
+
+    def draw_pairs(m):
+        return sample_cell_points(lat, rng, 2 * m, margin=0.1).reshape(m, 2)
+
+    res, tried = _first_passing(rng, count, 100 * count, draw_pairs, test)
+    return _result("addition_law", res, 1e-8, tried)
 
 
 def suite_duplication_law(
@@ -133,28 +166,19 @@ def suite_duplication_law(
     bound exceeds a tenth of the threshold are resampled; on the reference
     lattices nothing is skipped.
     """
-    lam = shortest_vector(lat)
-    worst = 0.0
-    checked = 0
-    tried = 0
-    while checked < count and tried < 100 * count:
-        tried += 1
-        (z,) = sample_cell_points(lat, rng, 1, margin=0.1, multiples=(2,))
-        if pole_distance(2 * z, lat) <= 0.05 * lam:
-            continue
-        ru = wp_eval(z, lat)
-        rv = wp_prime_eval(z, lat)
-        u, v = ru.value, rv.value
+
+    def test(z):
+        r = wp_many(np.stack([z, 2 * z]), lat)
+        u, v, eu, ev = r.wp[0], r.wp1[0], r.wp_err[0], r.wp1_err[0]
         w2 = 6.0 * u * u - inv.g2 / 2.0
-        dw2 = 12.0 * abs(u) * ru.err_estimate + 1e-15 * (6 * abs(u) ** 2 + abs(inv.g2) / 2)
-        t = abs(w2 / v)
-        bound = 0.5 * t * (dw2 + t * rv.err_estimate) / abs(v) + 2.0 * ru.err_estimate
-        if bound > 1e-9:
-            continue
-        got = duplication(u, v, w2)
-        worst = max(worst, abs(got - wp_eval(2 * z, lat).value))
-        checked += 1
-    return SuiteResult("duplication_law", worst, 1e-8, checked)
+        dw2 = 12.0 * np.abs(u) * eu + 1e-15 * (6 * np.abs(u) ** 2 + abs(inv.g2) / 2)
+        t = np.abs(w2 / v)
+        ok = ~(0.5 * t * (dw2 + t * ev) / np.abs(v) + 2.0 * eu > 1e-9)
+        return np.flatnonzero(ok), np.abs(duplication(u[ok], v[ok], w2[ok]) - r.wp[1, ok])
+
+    draw = partial(sample_cell_points, lat, rng, margin=0.1, multiples=(2,))
+    res, tried = _first_passing(rng, count, 100 * count, draw, test)
+    return _result("duplication_law", res, 1e-8, tried)
 
 
 def suite_second_derivative(
@@ -165,22 +189,17 @@ def suite_second_derivative(
     # h = 1e-4; points whose evaluation noise, amplified by the 4/h^2 of the
     # second difference, already eats the budget are resampled
     h = 1e-4
-    worst = 0.0
-    checked = 0
-    tried = 0
-    while checked < count and tried < 100 * count:
-        tried += 1
-        (z,) = sample_cell_points(lat, rng, 1, margin=0.45)
-        ru = wp_eval(z, lat)
-        if 4.0 * ru.err_estimate / (h * h) > 2e-5:
-            continue
-        w2 = 6.0 * ru.value * ru.value - inv.g2 / 2.0
-        fd = (
-            wp_eval(z + h, lat).value - 2.0 * ru.value + wp_eval(z - h, lat).value
-        ) / (h * h)
-        worst = max(worst, abs(w2 - fd))
-        checked += 1
-    return SuiteResult("second_derivative", worst, 1e-4, checked)
+
+    def test(z):
+        r = wp_many(np.stack([z, z + h, z - h]), lat)
+        u = r.wp[0]
+        ok = ~(4.0 * r.wp_err[0] / (h * h) > 2e-5)
+        fd = (r.wp[1] - 2.0 * u + r.wp[2]) / (h * h)
+        return np.flatnonzero(ok), np.abs(6.0 * u * u - inv.g2 / 2.0 - fd)[ok]
+
+    draw = partial(sample_cell_points, lat, rng, margin=0.45)
+    res, tried = _first_passing(rng, count, 100 * count, draw, test)
+    return _result("second_derivative", res, 1e-4, tried)
 
 
 def suite_multiplication_maps(
@@ -194,24 +213,18 @@ def suite_multiplication_maps(
     representation loses more digits than the tolerance allows.
     """
     lam = shortest_vector(lat)
-    worst = 0.0
-    checked = 0
-    for n in (2, 3, 5):
-        mp = multiplication_by_n(n, inv)
-        done = 0
-        tried = 0
-        while done < count and tried < 200 * count:
-            tried += 1
-            (z,) = sample_cell_points(lat, rng, 1, margin=0.1)
-            if pole_distance(n * z, lat) <= 0.1 * lam:
-                continue
-            x = wp_eval(z, lat).value
-            if mp.condition(x) > 1e7:
-                continue
-            worst = max(worst, abs(mp(x) - wp_eval(n * z, lat).value))
-            done += 1
-            checked += 1
-    return SuiteResult("multiplication_maps", worst, 1e-7, checked)
+    maps = {n: multiplication_by_n(n, inv) for n in (2, 3, 5)}
+
+    def test(n, z):
+        idx = np.flatnonzero(pole_distance_many(n * z, lat) > 0.1 * lam)
+        r = wp_many(np.stack([z[idx], n * z[idx]]), lat)
+        ok = ~(maps[n].condition(r.wp[0]) > 1e7)
+        return idx[ok], np.abs(maps[n](r.wp[0, ok]) - r.wp[1, ok])
+
+    draw = partial(sample_cell_points, lat, rng, margin=0.1)
+    runs = [_first_passing(rng, count, 200 * count, draw, partial(test, n)) for n in maps]
+    res = np.concatenate([res for res, _ in runs])
+    return _result("multiplication_maps", res, 1e-7, sum(tried for _, tried in runs))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,15 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_json_states_skipped_candidates(capsys):
+    code, out = run_cli(capsys, "verify", "--tau", "3i")
+    assert code == 0
+    by_name = {s["name"]: s for s in machine_block(out)["suites"]}
+    assert all(isinstance(s["skipped"], int) for s in by_name.values())
+    mult = by_name["multiplication_maps"]
+    assert mult["checked"] == 75 and mult["skipped"] > 0
+
+
 # ---------------------------------------------------------------------------
 # disc command
 # ---------------------------------------------------------------------------
@@ -294,3 +303,4 @@ def test_readme_cli_commands(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == expected, (argv, out)
         assert isinstance(machine_block(out), dict)
+

@@ -270,6 +270,35 @@ def test_disc_extension_rejects_interval_with_pole(square, square_pair):
         DiscExtension(square, square_pair, (0.5, 1.5))
 
 
+def test_image_poles_inside_the_interval_are_skipped_not_refused():
+    # 4 tau^2 + 5 = 0: alpha = 4 tau maps y = 0.25 onto the lattice point tau
+    lat = reduce_generators(1.0, 1j * math.sqrt(5.0) / 2.0)
+    de = DiscExtension(lat, fit_multiplier_maps(lat, detect_cm(lat)), INTERVAL)
+    assert verify_disc_extension(de, 20, 1e-8).skipped == 0
+    report = verify_disc_extension(de, 21, 1e-8)  # node 10 of 21 sits at y = 0.25
+    assert report.skipped == 21 and report.max_abs_error < 1e-8
+
+
+def conjugation_closed_forms(d_max):
+    """Primitive reduced forms (a, b, c) with b = 0, b = a or a = c and
+    4ac - b^2 <= d_max: the CM lattices closed under conjugation."""
+    for a in range(1, d_max):
+        for b in range(a + 1):
+            for c in range(a, (d_max + b * b) // (4 * a) + 1):
+                if (b in (0, a) or a == c) and math.gcd(a, b, c) == 1:
+                    yield a, b, c
+
+
+def test_every_conjugation_closed_cm_lattice_extends_to_the_disc():
+    forms = list(conjugation_closed_forms(400))
+    assert len(forms) == 400
+    for a, b, c in forms:
+        lat = reduce_generators(1.0, complex(-b, math.sqrt(4 * a * c - b * b)) / (2 * a))
+        pair = fit_multiplier_maps(lat, detect_cm(lat))
+        report = verify_disc_extension(DiscExtension(lat, pair, INTERVAL), 20, 1e-8)
+        assert report.max_abs_error < 1e-8, (a, b, c)
+
+
 def test_verify_disc_square(square, square_pair):
     de = DiscExtension(square, square_pair, INTERVAL)
     report = verify_disc_extension(de, 20, 1e-8)

@@ -309,3 +309,32 @@ def test_condition_on_arrays_matches_scalar(degree, rng):
     for x, value, cond in zip(xs, values, conds):
         assert cond == _condition(p, complex(x), complex(value))
         assert abs(value - _peval(p, complex(x))) <= 1e-14 * cond * abs(value)
+
+
+def test_identities_on_arrays_match_scalar_calls(square, rng):
+    # the verify suites apply each identity to a whole block of samples
+    zs = sample_cell_points(square, rng, 40, margin=0.1, multiples=(2,))
+    u = np.array([wp_eval(z, square).value for z in zs])
+    v = np.array([wp_prime_eval(z, square).value for z in zs])
+    w = np.array([wp_second_eval(z, square).value for z in zs])
+    add = addition_formula(u[:20], u[20:], v[:20], v[20:])
+    dup = duplication(u, v, w)
+    m5 = multiplication_by_n(5, invariants_qseries(square))
+    cond = m5.condition(u)
+    assert add.shape == (20,) and dup.shape == cond.shape == (40,)
+    for k in range(20):
+        want = addition_formula(complex(u[k]), complex(u[20 + k]), complex(v[k]), complex(v[20 + k]))
+        assert abs(add[k] - want) <= 1e-14 * abs(want)
+    for k in range(40):
+        want = duplication(complex(u[k]), complex(v[k]), complex(w[k]))
+        assert abs(dup[k] - want) <= 1e-14 * abs(want)
+        assert abs(cond[k] - m5.condition(complex(u[k]))) <= 1e-12 * cond[k]
+    assert isinstance(m5.condition(complex(u[0])), float)
+
+
+def test_array_identities_raise_on_any_degenerate_entry():
+    u = np.array([2.0 + 1j, 3.0 - 1j])
+    with pytest.raises(DegenerateAddition):
+        addition_formula(u, np.array([1.0, 3.0 - 1j]), np.ones(2), -np.ones(2))
+    with pytest.raises(HalfPeriodSingularity):
+        duplication(u, np.array([1.0, 0.0]), np.ones(2))

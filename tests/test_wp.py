@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from weierp.errors import PoleError
-from weierp.lattice import Lattice, invariants_qseries, reduce_generators, shortest_vector
+from weierp.lattice import Lattice, invariants_qseries, reduce_generators
 from weierp.verify import sample_cell_points
 from weierp.wp import (
     _oracle_setup,
     _wp_triple,
-    laurent_coefficients,
     pole_distance,
     pole_distance_many,
     wp_direct_sum,
@@ -93,48 +92,6 @@ def test_direct_sum_cache_stays_bounded():
         wp_direct_sum(0.3 + 0.1j, reduce_generators(1.0, complex(0.01 * k, 1.1 + 0.1 * k)), 20)
     info = _oracle_setup.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-
-
-# ---------------------------------------------------------------------------
-# Laurent coefficients
-# ---------------------------------------------------------------------------
-
-
-def test_laurent_base_cases(square):
-    inv = invariants_qseries(square)
-    lc = laurent_coefficients(inv, 3)
-    assert lc.coeffs[0] == inv.g2 / 20.0
-    assert lc.coeffs[1] == inv.g3 / 28.0
-
-
-def test_laurent_c4_hand_expansion(square, hexagonal):
-    # k=4 term of the recurrence expanded by hand: c4 = c2^2 / 3 = g2^2 / 1200
-    for lat in (square, hexagonal):
-        inv = invariants_qseries(lat)
-        lc = laurent_coefficients(inv, 5)
-        assert abs(lc.coeffs[2] - inv.g2**2 / 1200.0) <= 1e-12 * (1 + abs(inv.g2) ** 2)
-        assert abs(lc.coeffs[3] - 3.0 * inv.g2 * inv.g3 / 6160.0) <= 1e-12 * (
-            1 + abs(inv.g2 * inv.g3)
-        )
-
-
-def test_laurent_recurrence_reverified(rect2i):
-    inv = invariants_qseries(rect2i)
-    lc = laurent_coefficients(inv, 12)
-    c = lc.coeffs
-    for k in range(4, 13):
-        s = sum(c[m - 2] * c[k - m - 2] for m in range(2, k - 1))
-        expect = 3.0 * s / ((2 * k + 1) * (k - 3))
-        assert abs(c[k - 2] - expect) <= 1e-14 * (1 + abs(expect))
-
-
-def test_series_matches_direct_sum(square):
-    inv = invariants_qseries(square)
-    lc = laurent_coefficients(inv, 30)
-    lam = shortest_vector(square)
-    z = 0.2 * lam * complex(math.cos(0.7), math.sin(0.7))
-    oracle = wp_direct_sum(z, square, 300).value
-    assert abs(lc.wp(z) - oracle) < 1e-10
 
 
 # ---------------------------------------------------------------------------

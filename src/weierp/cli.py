@@ -289,8 +289,13 @@ def _add_lattice_args(p: argparse.ArgumentParser) -> None:
                    help="lattice ratio (default i); ignored when --gen is given")
     p.add_argument("--gen", type=parse_complex, nargs=2, metavar=("W1", "W2"),
                    help="explicit generator pair")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
     p.add_argument("--out", default=None, help="also write the report to this file")
+
+
+def _add_cm_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coeff-bound", type=int, default=50,
+                   help="CM search: bound on the leading coefficient a")
+    p.add_argument("--tol", type=float, default=1e-9, help="CM search: relative tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="reduce, classify, and search for CM")
     _add_lattice_args(p)
     p.add_argument("--radius", type=int, default=120, help="truncation radius for invariants")
-    p.add_argument("--coeff-bound", type=int, default=50,
-                   help="CM search: bound on the leading coefficient a")
+    _add_cm_args(p)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("eval", help="evaluate wp, wp', wp'' at a point")
@@ -324,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, nargs=2, default=[0.125, 0.375],
                    metavar=("A", "B"), help="real sampling interval")
     p.add_argument("--grid", type=int, default=20, help="verification grid size per axis")
-    p.add_argument("--coeff-bound", type=int, default=50,
-                   help="CM search: bound on the leading coefficient a")
+    _add_cm_args(p)
     p.add_argument("--tol-grid", type=float, default=1e-8, help="grid error threshold")
     p.set_defaults(func=cmd_disc)
     return ap

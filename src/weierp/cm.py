@@ -130,7 +130,8 @@ class DiscExtension:
         if not a < b:
             raise ValueError("interval endpoints must satisfy a < b")
         lat = ensure_reduced(self.lattice)
-        ts = np.linspace(a, b, 33)
+        # the grid nodes are midpoints, so only the open interval matters
+        ts = np.linspace(a, b, 33)[1:-1]
         hits = ts[pole_distance_many(ts, lat) <= 1e-9 * abs(lat.omega1)]
         if hits.size:
             raise ValueError(f"interval point {hits[0]} hits a pole")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateAddition, HalfPeriodSingularity, RootFindingFailure
 from .lattice import Invariants, Lattice, ensure_reduced, invariants_qseries
-from .wp import wp_eval, wp_prime_eval
+from .wp import _wp_triple
 
 DEGREE_CAP = 160
 MAX_MULTIPLIER = 12
@@ -151,7 +151,8 @@ def _curve_residual(u: complex, v: complex, inv: Invariants) -> float:
 def diffeq_residual(z: complex, lat: Lattice) -> float:
     """|wp'^2 - (4 wp^3 - g2 wp - g3)| / (1 + |wp|^3) at z."""
     inv = invariants_qseries(ensure_reduced(lat))
-    return _curve_residual(wp_eval(z, lat).value, wp_prime_eval(z, lat).value, inv)
+    p, dp, _ = _wp_triple(z, lat)
+    return _curve_residual(p.value, dp.value, inv)
 
 
 # ---------------------------------------------------------------------------

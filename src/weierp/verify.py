@@ -346,10 +346,7 @@ def fd_chain_instance(
     def p_i(i: int, y: np.ndarray) -> float:
         return float(lin[i] @ y + y @ quad[i] @ y)
 
-    def y_of(xv: np.ndarray) -> np.ndarray:
-        return np.concatenate([xv, [g(x) for x in xv]])
-
-    y0 = y_of(xs)
+    y0 = np.concatenate([xs, [g(x) for x in xs]])
     outer = np.zeros((n, 2 * n + 1))
     for i in range(n):
         for col, j in enumerate(range(1, 2 * n + 2)):  # y-index j+1 in 1-based terms
@@ -359,14 +356,18 @@ def fd_chain_instance(
             ym[j] -= FD_STEP
             outer[i, col] = (p_i(i, yp) - p_i(i, ym)) / (2 * FD_STEP)
 
+    def y_moved(j: int, x: float) -> np.ndarray:
+        """y0 with x_j moved to x: one new evaluation of g."""
+        y = y0.copy()
+        y[j], y[n + 1 + j] = x, g(x)
+        return y
+
     system = np.zeros((n, n))
-    for i in range(n):
-        for col, j in enumerate(range(1, n + 1)):
-            xp = xs.copy()
-            xm = xs.copy()
-            xp[j] += FD_STEP
-            xm[j] -= FD_STEP
-            system[i, col] = (p_i(i, y_of(xp)) - p_i(i, y_of(xm))) / (2 * FD_STEP)
+    for col, j in enumerate(range(1, n + 1)):
+        yp = y_moved(j, xs[j] + FD_STEP)
+        ym = y_moved(j, xs[j] - FD_STEP)
+        for i in range(n):
+            system[i, col] = (p_i(i, yp) - p_i(i, ym)) / (2 * FD_STEP)
 
     inner = np.array(
         [

@@ -10,16 +10,19 @@ a reduced basis |Q| = |exp(2 pi i tau)| <= exp(-pi sqrt(3)), so the series
 needs at most about twenty terms, no step cancels, and tall lattices are as
 accurate as square ones.
 
-wp_many is the array-in, array-out twin of the scalar series, with the same
-reduction, stop rule and error formula per point; callers that hold many
-points of one lattice (the CM maps, the disc grid and the verify suites) use
-it.  The scalar wp_eval, wp_prime_eval and wp_second_eval stay for callers
-that take one point at a time, and pole_distance beside pole_distance_many
-for the same reason: numpy's overhead per call makes a one-point array
-evaluation slower than the plain complex arithmetic (on a 2-core x86 VM,
-~4 us for pole_distance against ~16 us for a one-point array call).
-pole_distance is also the reference that pole_distance_many is tested
-against bit for bit.
+One routine, _series, sums the series for one point or for an array of
+points of one lattice.  The few operations that differ between a Python
+complex and a numpy array (exp, the csc^2/cot primitive, rounding to the
+cell, and the any/all of the pole and stop tests) are picked once per call,
+so the loop is written once and never asks which kind of input it has.
+wp_eval, wp_prime_eval and wp_second_eval run it on plain complex numbers:
+numpy's overhead per call makes a one-point array evaluation several times
+slower (on a 2-core x86 VM, ~6-15 us for the scalar series against ~100-400
+us for a one-point wp_many, and ~4 us for pole_distance against ~16 us for
+a one-point pole_distance_many).  wp_many runs it on arrays for callers
+that hold many points of one lattice: the CM maps, the disc grid and the
+verify suites.  pole_distance is also the reference that pole_distance_many
+is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,7 +91,7 @@ def pole_distance_many(zs, lat: Lattice) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _oracle_setup(lat: Lattice, radius: int):
     """Per-(lattice, radius) data: S4, S6, the disc points w and 1/w^2, the
     roundoff weights sum |w|^-2, M4 = |g2|/60 + sum |w|^-4 and
@@ -96,8 +99,9 @@ def _oracle_setup(lat: Lattice, radius: int):
 
     This is the package's one lattice-sum cache: its disc is the only one
     that callers reuse, as checking the evaluator against the oracle takes
-    hundreds of points per lattice at radius 400.  Four entries bound the
-    memory when many lattices pass through.
+    hundreds of points per lattice at radius 400, one lattice at a time.  A
+    sweep over many lattices never returns to an earlier one, so one entry
+    is all that is reused, and the memory stays that of one disc.
     """
     pts = disc_points(lat, radius)
     inv_sq = 1.0 / pts**2
@@ -175,8 +179,36 @@ def _csc2_cot(v: complex) -> tuple[complex, complex]:
     return -4.0 * w / (1.0 - w) ** 2, sign * 1j * (w + 1.0) / (w - 1.0)
 
 
-def _wp_triple(z: complex, lat: Lattice) -> tuple[EvalResult, EvalResult, EvalResult]:
-    """wp, wp' and wp'' at z, each with an absolute error bound, in one pass.
+def _csc2_cot_many(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_csc2_cot at every entry, each branch taken on its own entries."""
+    u = np.empty_like(v)
+    t = np.empty_like(v)
+    near = np.abs(v.imag) <= 1.0
+    s = np.sin(v[near])
+    u[near], t[near] = 1.0 / (s * s), np.cos(v[near]) / s
+    far = ~near
+    sign = np.where(v[far].imag > 0, 1.0, -1.0)
+    w = np.exp(2j * sign * v[far])
+    u[far], t[far] = -4.0 * w / (1.0 - w) ** 2, sign * 1j * (w + 1.0) / (w - 1.0)
+    return u, t
+
+
+class _Backend(NamedTuple):
+    """The operations in which the scalar and the array series differ."""
+
+    exp: Callable
+    csc2_cot: Callable
+    rint: Callable
+    any: Callable
+    all: Callable
+
+
+_SCALAR = _Backend(cmath.exp, _csc2_cot, round, bool, bool)
+_ARRAY = _Backend(np.exp, _csc2_cot_many, np.rint, np.any, np.all)
+
+
+def _series(z, lat: Lattice, ops: _Backend):
+    """wp, wp', wp'' at z and their absolute error bounds, in one pass.
 
     With z0 = z - w for the lattice point w nearest in coordinates, k = pi/omega1,
     v = k z0, Q = exp(2 pi i tau), A = Q exp(2iv), B = Q exp(-2iv) and
@@ -192,20 +224,23 @@ def _wp_triple(z: complex, lat: Lattice) -> tuple[EvalResult, EvalResult, EvalRe
     The bound adds that tail, the roundoff of the sum (a term's relative error
     grows like n times the size of its exponent through the powers) and the
     rounding of z0 itself, which moves the argument by up to a few
-    eps * (|z| + |w|).
+    eps * (|z| + |w|).  An array stops at the first n >= 2 where every point
+    passes the stop test, so each point's tail term is taken at that n.
     """
-    z = complex(z)
+    exp, csc2_cot, rint, any_, all_ = ops
     lat = ensure_reduced(lat)
     x, y = lat.coords(z)
-    w = lat.point(round(x), round(y))
+    w = lat.point(rint(x), rint(y))
     z0 = z - w
-    if abs(z0) <= POLE_REL_TOL * abs(lat.omega1):
-        raise PoleError(f"z = {z!r} is within pole tolerance of the lattice")
+    hit = abs(z0) <= POLE_REL_TOL * abs(lat.omega1)
+    if any_(hit):
+        bad = complex(np.asarray(z)[hit].flat[0])
+        raise PoleError(f"z = {bad!r} is within pole tolerance of the lattice")
     k = math.pi / lat.omega1
     v = k * z0
     phase = 2j * math.pi * lat.tau
-    q, a, b = cmath.exp(phase), cmath.exp(phase + 2j * v), cmath.exp(phase - 2j * v)
-    u, t = _csc2_cot(v)
+    q, a, b = cmath.exp(phase), exp(phase + 2j * v), exp(phase - 2j * v)
+    u, t = csc2_cot(v)
     grow = 2.0 * (abs(phase) + abs(v))
     rq, ra, rb = abs(q), abs(a), abs(b)
 
@@ -235,7 +270,7 @@ def _wp_triple(z: complex, lat: Lattice) -> tuple[EvalResult, EvalResult, EvalRe
         m0 += weight * t0
         m1 += weight * t1
         m2 += weight * t2
-        if n > 1 and t0 <= _EPS * m0 and t1 <= _EPS * m1 and t2 <= _EPS * m2:
+        if n > 1 and all_(t0 <= _EPS * m0) and all_(t1 <= _EPS * m1) and all_(t2 <= _EPS * m2):
             break
 
     k2 = k * k
@@ -245,25 +280,35 @@ def _wp_triple(z: complex, lat: Lattice) -> tuple[EvalResult, EvalResult, EvalRe
     reach = 4.0 * _EPS * (abs(z) + abs(w))
     ak2 = abs(k2)
     return (
-        EvalResult(wp, ak2 * (ROUNDOFF * _EPS * m0 + t0) + abs(wp1) * reach),
-        EvalResult(wp1, ak2 * abs(k) * (ROUNDOFF * _EPS * m1 + t1) + abs(wp2) * reach),
-        EvalResult(wp2, ak2 * ak2 * (ROUNDOFF * _EPS * m2 + t2) + 12.0 * abs(wp * wp1) * reach),
+        wp, wp1, wp2,
+        ak2 * (ROUNDOFF * _EPS * m0 + t0) + abs(wp1) * reach,
+        ak2 * abs(k) * (ROUNDOFF * _EPS * m1 + t1) + abs(wp2) * reach,
+        ak2 * ak2 * (ROUNDOFF * _EPS * m2 + t2) + 12.0 * abs(wp * wp1) * reach,
     )
+
+
+def _wp_triple(z: complex, lat: Lattice) -> tuple[EvalResult, EvalResult, EvalResult]:
+    """wp, wp' and wp'' at z, each with an absolute error bound."""
+    wp, wp1, wp2, e0, e1, e2 = _series(complex(z), lat, _SCALAR)
+    return EvalResult(wp, e0), EvalResult(wp1, e1), EvalResult(wp2, e2)
 
 
 def wp_eval(z: complex, lat: Lattice) -> EvalResult:
     """wp(z) from the q-Fourier series."""
-    return _wp_triple(z, lat)[0]
+    r = _series(complex(z), lat, _SCALAR)
+    return EvalResult(r[0], r[3])
 
 
 def wp_prime_eval(z: complex, lat: Lattice) -> EvalResult:
     """wp'(z), the term-wise derivative of the same series."""
-    return _wp_triple(z, lat)[1]
+    r = _series(complex(z), lat, _SCALAR)
+    return EvalResult(r[1], r[4])
 
 
 def wp_second_eval(z: complex, lat: Lattice) -> EvalResult:
     """wp''(z), the second term-wise derivative of the same series."""
-    return _wp_triple(z, lat)[2]
+    r = _series(complex(z), lat, _SCALAR)
+    return EvalResult(r[2], r[5])
 
 
 class WpMany(NamedTuple):
@@ -277,102 +322,12 @@ class WpMany(NamedTuple):
     wp2_err: np.ndarray
 
 
-def _csc2_cot_many(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_csc2_cot at every entry, each branch taken on its own entries."""
-    u = np.empty_like(v)
-    t = np.empty_like(v)
-    near = np.abs(v.imag) <= 1.0
-    s = np.sin(v[near])
-    u[near], t[near] = 1.0 / (s * s), np.cos(v[near]) / s
-    far = ~near
-    sign = np.where(v[far].imag > 0, 1.0, -1.0)
-    w = np.exp(2j * sign * v[far])
-    u[far], t[far] = -4.0 * w / (1.0 - w) ** 2, sign * 1j * (w + 1.0) / (w - 1.0)
-    return u, t
-
-
 def wp_many(zs, lat: Lattice) -> WpMany:
     """_wp_triple at every entry of an array, in one pass over the series.
 
-    Each point is reduced, summed and bounded by the formulas of _wp_triple:
-    the terms that depend only on the lattice (Q^n, d_n) are shared, and a
-    point stops adding terms at its own first n >= 2 that passes the stop
-    test.  The array arithmetic rounds differently from the scalar one, so
-    values and bounds agree with the scalar routine's within the bound, not
-    bit for bit: at 400 seeded square-lattice cell points, 174 values differ,
-    by up to 6e-15 relative.  Raises PoleError if any point is within pole
-    tolerance of the lattice.
+    The terms that depend only on the lattice (Q^n, d_n) are shared, and every
+    point is summed to the batch's common last term, so a point's bound is at
+    most the one _wp_triple gives it.  Raises PoleError if any point is within
+    pole tolerance of the lattice.
     """
-    z = np.asarray(zs, dtype=complex)
-    lat = ensure_reduced(lat)
-    x, y = lat.coords(z)
-    w = lat.point(np.rint(x), np.rint(y))
-    z0 = z - w
-    hit = np.hypot(z0.real, z0.imag) <= POLE_REL_TOL * abs(lat.omega1)
-    if np.any(hit):
-        raise PoleError(f"z = {complex(z[hit][0])!r} is within pole tolerance of the lattice")
-    k = math.pi / lat.omega1
-    v = k * z0
-    phase = 2j * math.pi * lat.tau
-    q, a, b = cmath.exp(phase), np.exp(phase + 2j * v), np.exp(phase - 2j * v)
-    u, t = _csc2_cot_many(v)
-    grow = 2.0 * (abs(phase) + np.abs(v))
-    rq, ra, rb = abs(q), np.abs(a), np.abs(b)
-
-    s0 = np.zeros_like(z)
-    s1 = np.zeros_like(z)
-    s2 = np.zeros_like(z)
-    au = np.abs(u)
-    m0, m1, m2 = au + 1.0 / 3.0, 2.0 * au * np.abs(t), au * (6.0 * au + 4.0)
-    t0 = t1 = t2 = np.zeros(z.shape)
-    qn = 1.0 + 0j
-    an = np.ones_like(z)
-    bn = np.ones_like(z)
-    mq = 1.0
-    ma = np.ones(z.shape)
-    mb = np.ones(z.shape)
-    live = None  # points still adding terms, None while that is all of them
-
-    def step(new, old):
-        return new if live is None else np.where(live, new, old)
-
-    for n in range(1, MAX_TERMS + 1):
-        qn *= q
-        an *= a
-        bn *= b
-        d = n / (1.0 - qn)
-        ab = an + bn
-        s0 = step(s0 + d * (qn - 0.5 * ab), s0)
-        s1 = step(s1 + n * d * (an - bn), s1)
-        s2 = step(s2 + n * n * d * ab, s2)
-        mq *= rq
-        ma *= ra
-        mb *= rb
-        md = n / (1.0 - mq)
-        t0 = step(8.0 * md * (mq + 0.5 * (ma + mb)), t0)
-        t1 = step(8.0 * n * md * (ma + mb), t1)
-        t2 = step(2.0 * n * t1, t2)
-        weight = 1.0 + n * grow
-        m0 = step(m0 + weight * t0, m0)
-        m1 = step(m1 + weight * t1, m1)
-        m2 = step(m2 + weight * t2, m2)
-        if n > 1:
-            # a stopped point's t and m are frozen, so it keeps passing
-            done = (t0 <= _EPS * m0) & (t1 <= _EPS * m1) & (t2 <= _EPS * m2)
-            if done.all():
-                break
-            if done.any():
-                live = ~done
-
-    k2 = k * k
-    wp = k2 * (u - 1.0 / 3.0 + 8.0 * s0)
-    wp1 = k2 * k * (-2.0 * u * t - 8j * s1)
-    wp2 = k2 * k2 * (u * (6.0 * u - 4.0) + 16.0 * s2)
-    reach = 4.0 * _EPS * (np.abs(z) + np.abs(w))
-    ak2 = abs(k2)
-    return WpMany(
-        wp, wp1, wp2,
-        ak2 * (ROUNDOFF * _EPS * m0 + t0) + np.abs(wp1) * reach,
-        ak2 * abs(k) * (ROUNDOFF * _EPS * m1 + t1) + np.abs(wp2) * reach,
-        ak2 * ak2 * (ROUNDOFF * _EPS * m2 + t2) + 12.0 * np.abs(wp * wp1) * reach,
-    )
+    return WpMany(*_series(np.asarray(zs, dtype=complex), lat, _ARRAY))

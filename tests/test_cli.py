@@ -102,6 +102,15 @@ def test_eval_pole_exit_3(capsys):
     assert main(["eval", "--tau", "i", "--z", "1"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["eval", "--tau", "i", "--z", "0.3i"], ["verify", "--tau", "i"]])
+def test_tol_only_where_the_cm_search_reads_it(argv, capsys):
+    # eval and verify never run detect_cm, so they refuse its tolerance
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_eval_oracle_residual(capsys):
     code, out = run_cli(capsys, "eval", "--tau", "i", "--z", "0.21+0.34i", "--oracle")
     assert code == 0
@@ -270,6 +279,15 @@ def test_disc_interval_with_pole_exits_cleanly(capsys):
     assert main(["disc", "--tau", "i", "--interval", "0.5", "1.5"]) == 1
     err = capsys.readouterr().err
     assert "invalid configuration" in err
+
+
+@pytest.mark.parametrize("interval", [("1", "1.5"), ("0.5", "1")])
+def test_disc_interval_ending_at_a_pole_passes(interval, capsys):
+    # the grid nodes are midpoints: a lattice point at an end is never used
+    code, out = run_cli(capsys, "disc", "--tau", "i", "--interval", *interval)
+    assert code == 0
+    m = machine_block(out)
+    assert m["passed"] and m["points_checked"] == 400 and m["skipped"] == 0
 
 
 def test_lattice_radius_too_small_exits_cleanly(capsys):
